@@ -24,6 +24,7 @@ import json
 import os
 import platform
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,9 +35,9 @@ from .datapipe.packing import pack_samples
 from .datapipe.scrub import scrub
 from .datapipe.tokenizer import load_tokenizer, token_stats
 from .evalharness import load_suite, run_suite
-from .model import Checkpoint, init_params
+from .model import Checkpoint
 from .checkpoint import load_checkpoint, save_checkpoint
-from .rng import named_rng
+from .tensor import Tensor
 from .train.loops import (
     NumericError,
     TrainSettings,
@@ -261,11 +262,22 @@ def _check_paths(cfg: dict, base: Path) -> None:
                 raise ConfigError(f"{key}[{i}]: path does not exist: {p}")
 
 
+def _check_number(value, path: str, integer: bool) -> None:
+    """Reject a leaf that is compared numerically but is not a (whole) number."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise ConfigError(f"{path}: expected {'an integer' if integer else 'a number'}, got {value!r}")
+
+
 def _cross_checks(command: str, cfg: dict, user_set) -> None:
+    for key, integer in (("steps", True), ("accum", True), ("max_grad_norm", False), ("temperature", False)):
+        if key in cfg:
+            _check_number(cfg[key], key, integer)
     if "schedule" in cfg:
         sched = cfg["schedule"]
         if sched["total_steps"] is None:
             sched["total_steps"] = cfg["steps"]
+        for key in ("warmup_steps", "total_steps"):
+            _check_number(sched[key], f"schedule.{key}", integer=True)
         if sched["warmup_steps"] > sched["total_steps"]:
             if ("schedule", "warmup_steps") in user_set:
                 raise ConfigError(
@@ -347,10 +359,8 @@ def _load_tok(path):
 
 
 def _clone(ckpt: Checkpoint) -> Checkpoint:
-    other = init_params(ckpt.config, named_rng(0, "clone"), dtype=ckpt.params["lm_head"].dtype)
-    for n, p in other.params.items():
-        p.data[...] = ckpt.params[n].data
-    return other
+    params = {n: Tensor(p.data.copy(), requires_grad=True) for n, p in ckpt.params.items()}
+    return replace(ckpt, params=params)
 
 
 class RunContext:

@@ -1,1 +1,1 @@
-"""Data pipeline: tokenizer, corpus stats, scrubbing, chat templating, packing."""
+"""Data pipeline: JSONL records, tokenizer, corpus stats, scrubbing, chat templating, packing."""

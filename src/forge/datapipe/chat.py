@@ -12,10 +12,11 @@ content, never on control tokens or user/system/tool text.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .records import read_records
 from .tokenizer import TokenizerModel
 
 ROLES = ("system", "user", "assistant", "tool")
@@ -119,27 +120,20 @@ def build_loss_mask(rendered: RenderedChat) -> np.ndarray:
     return mask
 
 
+def messages_from(raw) -> list[Message]:
+    """Messages from a JSON list of {role, content?, tool_calls?} objects."""
+    return [
+        Message(role=m["role"], content=m.get("content", ""), tool_calls=m.get("tool_calls"))
+        for m in raw
+    ]
+
+
+def _chat_sample(rec) -> ChatSample:
+    sample = ChatSample(messages=messages_from(rec["messages"]))
+    sample.validate()
+    return sample
+
+
 def load_chat_dataset(path) -> list[ChatSample]:
     """Line-delimited records: {"messages": [{role, content, tool_calls?}]}."""
-    samples = []
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                msgs = [
-                    Message(
-                        role=m["role"],
-                        content=m.get("content", ""),
-                        tool_calls=m.get("tool_calls"),
-                    )
-                    for m in rec["messages"]
-                ]
-            except (json.JSONDecodeError, KeyError, TypeError) as e:
-                raise ValueError(f"{path}:{line_no}: bad chat record: {e}") from None
-            sample = ChatSample(messages=msgs)
-            sample.validate()
-            samples.append(sample)
-    return samples
+    return read_records(path, _chat_sample, "chat record")

@@ -172,35 +172,33 @@ def save_tokenizer(tok: TokenizerModel, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _section(lines: list[str], i: int, name: str, parse):
+    """(header fields, parsed entries, next index) of the section headed at lines[i]."""
+    head = lines[i].split() if i < len(lines) else []
+    if len(head) < 2 or head[0] != name:
+        raise ValueError(f"missing {name} section")
+    count = int(head[1])
+    body = lines[i + 1 : i + 1 + count]
+    if len(body) != count:
+        raise ValueError(f"{name} section lists {count} entries but {len(body)} follow")
+    return head, [parse(*line.split(" ", 1)) for line in body], i + 1 + count
+
+
 def load_tokenizer(path) -> TokenizerModel:
+    """Inverse of save_tokenizer; a short or malformed file raises ValueError naming it."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or not lines[0].startswith("forge-tokenizer "):
         raise ValueError(f"{path}: not a tokenizer model file")
-    i = 1
-    if not lines[i].startswith("vocab "):
-        raise ValueError(f"{path}: missing vocab section")
-    n_vocab = int(lines[i].split()[1])
-    vocab: dict[int, bytes] = {}
-    for line in lines[i + 1 : i + 1 + n_vocab]:
-        tid, hexs = line.split(" ")
-        vocab[int(tid)] = bytes.fromhex(hexs)
-    i += 1 + n_vocab
-    n_merges = int(lines[i].split()[1])
-    merges = []
-    for line in lines[i + 1 : i + 1 + n_merges]:
-        left, right = line.split(" ")
-        merges.append((int(left), int(right)))
-    i += 1 + n_merges
-    head = lines[i].split()
-    n_specials, n_reserved = int(head[1]), int(head[3])
-    specials = {}
-    for line in lines[i + 1 : i + 1 + n_specials]:
-        tid, name = line.split(" ", 1)
-        specials[name] = int(tid)
-    tok = TokenizerModel(merges=merges, specials=specials, n_reserved=n_reserved)
-    for tid, blob in vocab.items():
-        if tok.token_to_bytes(tid) != blob:
-            raise ValueError(f"{path}: vocab entry {tid} disagrees with merge table")
+    try:
+        _, vocab, i = _section(lines, 1, "vocab", lambda tid, hexs: (int(tid), bytes.fromhex(hexs)))
+        _, merges, i = _section(lines, i, "merges", lambda left, right: (int(left), int(right)))
+        head, specials, _ = _section(lines, i, "specials", lambda tid, name: (name, int(tid)))
+        tok = TokenizerModel(merges=merges, specials=dict(specials), n_reserved=int(head[3]))
+        for tid, blob in vocab:
+            if tok.token_to_bytes(tid) != blob:
+                raise ValueError(f"vocab entry {tid} disagrees with merge table")
+    except (IndexError, KeyError, TypeError, ValueError) as e:
+        raise ValueError(f"{path}: malformed tokenizer file: {e}") from None
     return tok
 
 

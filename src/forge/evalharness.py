@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
+from .datapipe.records import read_records
 from .model import Checkpoint, forward
 
 MODES = ("loglikelihood", "generate")
@@ -120,8 +121,7 @@ def sequence_logprobs(ckpt: Checkpoint, tokens) -> np.ndarray:
     if len(tokens) < 2:
         raise ValueError("need at least two tokens to score a continuation")
     logits = forward(ckpt, tokens[:-1])
-    logps = T.log_softmax(logits, axis=-1).numpy()
-    return logps[np.arange(len(tokens) - 1), tokens[1:]]
+    return T.sum_(T.target_logprobs(logits, tokens[1:]), axis=-1).numpy()
 
 
 def loglikelihood_choice(ckpt: Checkpoint, context, choices):
@@ -285,20 +285,7 @@ def append_monitoring_row(csv_path, report: EvalReport) -> None:
 
 
 def load_task_items(path) -> tuple:
-    items = []
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                item = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"{path}:{line_no}: not valid JSON ({e.msg})") from None
-            if not isinstance(item, dict):
-                raise ValueError(f"{path}:{line_no}: item must be an object")
-            items.append(item)
-    return tuple(items)
+    return tuple(read_records(path, lambda item: item, "task item"))
 
 
 def load_suite(manifest_path) -> list[Task]:

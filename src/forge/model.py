@@ -10,7 +10,7 @@ at the call site, which is all desk-scale fixtures need.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 

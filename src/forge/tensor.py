@@ -633,9 +633,23 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return sub(shifted, log(sum_(exp(shifted), axis=axis, keepdims=True)))
 
 
-def backward(graph: Graph, seed: Tensor) -> dict[int, np.ndarray]:
-    """Functional alias for ``graph.backward(seed)``."""
-    return graph.backward(seed)
+def target_logprobs(logits: Tensor, targets, mask=None) -> Tensor:
+    """Dense masked product ``log_softmax(logits) * onehot(targets)``.
+
+    Row i holds log p(targets[i]) at column targets[i] and zeros elsewhere;
+    rows outside the boolean ``mask`` are all zero, so no gradient reaches
+    them. Sum the last axis for per-row log-probs, or everything for the
+    masked total. The product stays dense instead of gathering one entry
+    per row because its sums must stay bit-identical to recorded runs: a
+    gathered sum moves DPO response totals in the last bits, and GRPO
+    trajectories downstream with them.
+    """
+    logits = _as_tensor(logits)
+    targets = np.asarray(targets, dtype=np.int64)
+    rows = np.arange(len(targets)) if mask is None else np.flatnonzero(mask)
+    onehot = np.zeros(logits.shape, dtype=logits.data.dtype)
+    onehot[rows, targets[rows]] = 1.0
+    return log_softmax(logits, axis=-1) * onehot
 
 
 # -- finite-difference oracle --------------------------------------------------

@@ -11,14 +11,14 @@ micro-batch on one worker here.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .. import tensor as T
-from ..datapipe.chat import ChatSample, Message, build_loss_mask, render_chat
+from ..datapipe.chat import ChatSample, build_loss_mask, messages_from, render_chat
 from ..datapipe.packing import PackedBatch
+from ..datapipe.records import read_records
 from ..model import Checkpoint, forward
 from ..rng import named_rng
 from ..tensor import Graph, Tensor
@@ -162,33 +162,13 @@ def train_sft(ckpt: Checkpoint, batches, settings: TrainSettings, log_path=None)
 
 # --- preference tuning ---
 
-def _as_messages(raw) -> list[Message]:
-    return [
-        Message(role=m["role"], content=m.get("content", ""), tool_calls=m.get("tool_calls"))
-        for m in raw
-    ]
-
-
 def load_preference_dataset(path) -> list[dict]:
     """Line-delimited {prompt, chosen, rejected}, each a chat-message list."""
-    pairs = []
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                pairs.append(
-                    {
-                        "prompt": _as_messages(rec["prompt"]),
-                        "chosen": _as_messages(rec["chosen"]),
-                        "rejected": _as_messages(rec["rejected"]),
-                    }
-                )
-            except (json.JSONDecodeError, KeyError, TypeError) as e:
-                raise ValueError(f"{path}:{line_no}: bad preference record ({e})") from None
-    return pairs
+    return read_records(
+        path,
+        lambda rec: {side: messages_from(rec[side]) for side in ("prompt", "chosen", "rejected")},
+        "preference record",
+    )
 
 
 def encode_preference_pairs(pairs, tok) -> list[dict]:
@@ -220,12 +200,8 @@ def response_logprob(ckpt: Checkpoint, tokens, response_mask) -> Tensor:
         raise ValueError("sequence too short to score")
     if response_mask[0]:
         raise ValueError("first token has no conditioning prefix")
-    logits = forward(ckpt, tokens)
-    logp = T.log_softmax(T.narrow(logits, 0, 0, n - 1), axis=-1)
-    sel = response_mask[1:]
-    onehot = np.zeros((n - 1, ckpt.config.vocab_size), dtype=logp.dtype)
-    onehot[np.flatnonzero(sel), tokens[1:][sel]] = 1.0
-    return T.sum_(logp * onehot)
+    logits = T.narrow(forward(ckpt, tokens), 0, 0, n - 1)
+    return T.sum_(T.target_logprobs(logits, tokens[1:], response_mask[1:]))
 
 
 def train_dpo(
@@ -276,28 +252,15 @@ def train_dpo(
 
 # --- group-relative policy optimization ---
 
+def _rl_problem(rec) -> dict:
+    if rec["verifier"] not in ("math", "mcq", "tool"):
+        raise ValueError(f"unknown verifier {rec['verifier']!r}")
+    return {"prompt": messages_from(rec["prompt"]), "verifier": rec["verifier"], "truth": rec["truth"]}
+
+
 def load_rl_dataset(path) -> list[dict]:
     """Line-delimited {prompt: chat messages, verifier: math|mcq|tool, truth}."""
-    problems = []
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                if rec["verifier"] not in ("math", "mcq", "tool"):
-                    raise KeyError(f"unknown verifier {rec['verifier']!r}")
-                problems.append(
-                    {
-                        "prompt": _as_messages(rec["prompt"]),
-                        "verifier": rec["verifier"],
-                        "truth": rec["truth"],
-                    }
-                )
-            except (json.JSONDecodeError, KeyError, TypeError) as e:
-                raise ValueError(f"{path}:{line_no}: bad RL record ({e})") from None
-    return problems
+    return read_records(path, _rl_problem, "RL record")
 
 
 def sample_response(
@@ -333,12 +296,8 @@ def token_logprobs(ckpt: Checkpoint, tokens, from_pos: int) -> Tensor:
     n = len(tokens)
     if not (1 <= from_pos < n):
         raise ValueError(f"from_pos {from_pos} outside [1, {n})")
-    logits = forward(ckpt, tokens)
-    logp = T.log_softmax(T.narrow(logits, 0, 0, n - 1), axis=-1)
-    rows = T.narrow(logp, 0, from_pos - 1, n - from_pos)
-    onehot = np.zeros((n - from_pos, ckpt.config.vocab_size), dtype=rows.dtype)
-    onehot[np.arange(n - from_pos), tokens[from_pos:]] = 1.0
-    return T.sum_(rows * onehot, axis=1)
+    logits = T.narrow(forward(ckpt, tokens), 0, from_pos - 1, n - from_pos)
+    return T.sum_(T.target_logprobs(logits, tokens[from_pos:]), axis=1)
 
 
 def _response_text(tok, response_ids, stop_id: int) -> str:
@@ -368,7 +327,10 @@ def train_grpo(
     and optimize the clipped group-relative surrogate with a k3 KL leash.
 
     The behavior policy is the policy at sampling time (one optimizer step
-    per generation round), so ratios start at 1 each step.
+    per generation round), so ratios start at 1 each step. Its log-probs
+    are the values of the taped policy pass itself: no update runs between
+    sampling and that pass, and a taped forward computes the same bits as
+    a tape-free one.
     """
     if not problems:
         raise ValueError("no problems to train on")
@@ -388,18 +350,18 @@ def train_grpo(
             text = _response_text(tok, resp, stop_id)
             rewards.append(float(verify(problem["verifier"], text, problem["truth"]).reward))
             rollouts.append(prompt_ids + resp)
-        # behavior and reference scores are tape-free snapshots
-        logp_old = [token_logprobs(ckpt, seq, len(prompt_ids)).numpy() for seq in rollouts]
+        # reference scores are tape-free snapshots
         logp_ref = [token_logprobs(ref_ckpt, seq, len(prompt_ids)).numpy() for seq in rollouts]
-        return rollouts, len(prompt_ids), logp_old, logp_ref, np.array(rewards)
+        return rollouts, len(prompt_ids), logp_ref, np.array(rewards)
 
     def micro_losses(step):
         for slot in range(settings.accum * prompts_per_step):
             k = (step * settings.accum * prompts_per_step + slot) % len(problems)
-            rollouts, plen, logp_old, logp_ref, rewards = build_group(step, slot, problems[k])
+            rollouts, plen, logp_ref, rewards = build_group(step, slot, problems[k])
 
-            def build(rollouts=rollouts, plen=plen, logp_old=logp_old, logp_ref=logp_ref, rewards=rewards):
+            def build(rollouts=rollouts, plen=plen, logp_ref=logp_ref, rewards=rewards):
                 logp_policy = [token_logprobs(ckpt, seq, plen) for seq in rollouts]
+                logp_old = [lp.data for lp in logp_policy]
                 group = GrpoGroup(
                     logp_policy=logp_policy,
                     logp_old=logp_old,

@@ -8,7 +8,7 @@ quantities enter as plain arrays (constants under the tape).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,7 @@ def sft_loss(logits: Tensor, targets, loss_mask) -> Tensor:
     """
     targets = np.asarray(targets, dtype=np.int64)
     mask = np.asarray(loss_mask, dtype=bool)
-    t_len, vocab = logits.shape
+    t_len, _ = logits.shape
     if len(targets) != t_len or len(mask) != t_len:
         raise ValueError(
             f"sft_loss: logits rows {t_len}, targets {len(targets)}, mask {len(mask)}"
@@ -39,10 +39,7 @@ def sft_loss(logits: Tensor, targets, loss_mask) -> Tensor:
     n_active = int(mask.sum())
     if n_active == 0:
         raise ValueError("sft_loss: loss mask is all false")
-    onehot = np.zeros((t_len, vocab), dtype=logits.data.dtype)
-    onehot[mask, targets[mask]] = 1.0  # masked rows stay zero: no grad path
-    logp = logits.log_softmax(axis=-1)
-    return -(logp * onehot).sum() / n_active
+    return -T.target_logprobs(logits, targets, mask).sum() / n_active
 
 
 @dataclass

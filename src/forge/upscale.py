@@ -28,6 +28,8 @@ class UpscaleSpec:
     m: int
 
     def __post_init__(self):
+        if isinstance(self.m, bool) or not isinstance(self.m, int):
+            raise ValueError(f"m must be an integer, got {self.m!r}")
         if not (0 <= self.m < self.n):
             raise ValueError(f"require 0 <= m < n, got n={self.n} m={self.m}")
 

@@ -15,8 +15,10 @@ from forge.datapipe.chat import (
 )
 from forge.datapipe.packing import PackedBatch, build_attention_mask, pack_samples
 from forge.datapipe.tokenizer import allocate_chat_specials, train_bpe
+from forge.evalharness import load_task_items
 from forge.model import ModelConfig, forward, init_params
 from forge.rng import named_rng
+from forge.train.loops import load_preference_dataset, load_rl_dataset
 
 
 def chat_tok():
@@ -144,6 +146,31 @@ def test_load_chat_dataset(tmp_path):
     bad.write_text("{\"messages\": [{\"role\": \"user\"}]}\nnot json\n")
     with pytest.raises(ValueError, match="bad.jsonl:2"):
         load_chat_dataset(bad)
+
+
+USER = [{"role": "user", "content": "hi"}]
+LOADERS = {
+    "chat": (load_chat_dataset, {"messages": USER + [{"role": "assistant", "content": "yo"}]}),
+    "preference": (load_preference_dataset, {
+        "prompt": USER, "chosen": [{"role": "assistant", "content": "a"}],
+        "rejected": [{"role": "assistant", "content": "b"}],
+    }),
+    "rl": (load_rl_dataset, {"prompt": USER, "verifier": "math", "truth": "4"}),
+    "task": (load_task_items, {"context": [1], "choices": [[2], [3]], "gold": 0}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_record_loaders_skip_blanks_and_name_bad_lines(tmp_path, kind):
+    load, rec = LOADERS[kind]
+    good = json.dumps(rec)
+    path = tmp_path / "records.jsonl"
+    path.write_text("\n" + good + "\n   \n" + good + "\n", encoding="utf-8")
+    assert len(load(path)) == 2
+    for bad in ("not json", "[1, 2]", '"text"', "7"):
+        path.write_text(good + "\n\n" + bad + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"records\.jsonl:3"):
+            load(path)
 
 
 # -- packing -----------------------------------------------------------------------

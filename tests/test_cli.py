@@ -196,11 +196,39 @@ def test_exit_2_on_config_error(workdir, capsys):
     assert err.startswith("forge: config-error:") and err.count("\n") == 1
 
 
+GRPO_BASE = {
+    "checkpoint": "base.ckpt", "tokenizer": "tok.json", "dataset": "rl.jsonl",
+    "steps": 1, "schedule": {"peak_lr": 1e-3, "warmup_steps": 0},
+}
+
+
+@pytest.mark.parametrize("command,cfg,env,key", [
+    ("upscale", {"checkpoint": "base.ckpt", "m": 0.5}, {}, "m"),
+    ("upscale", {"checkpoint": "base.ckpt", "m": False}, {}, "m"),
+    ("train-sft", sft_config(), {"FORGE_STEPS": '"abc"'}, "steps"),
+    ("train-sft", sft_config(), {"FORGE_ACCUM": "1.5"}, "accum"),
+    ("train-sft", sft_config(), {"FORGE_MAX_GRAD_NORM": '"big"'}, "max_grad_norm"),
+    ("train-sft", sft_config(), {"FORGE_SCHEDULE__WARMUP_STEPS": "true"}, "schedule.warmup_steps"),
+    ("train-sft", sft_config(), {"FORGE_SCHEDULE__TOTAL_STEPS": '"3"'}, "schedule.total_steps"),
+    ("train-grpo", GRPO_BASE, {"FORGE_TEMPERATURE": "[1]"}, "temperature"),
+], ids=["m-float", "m-bool", "steps", "accum", "max_grad_norm", "warmup_steps", "total_steps", "temperature"])
+def test_exit_2_on_mistyped_number(workdir, capsys, command, cfg, env, key):
+    p = write_json(workdir / "c.json", cfg)
+    assert run(command, p, environ=env) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"forge: config-error: {key}:") and err.count("\n") == 1
+
+
 def test_exit_3_on_malformed_dataset(workdir, capsys):
     (workdir / "sft.jsonl").write_text('{"messages": [\n', encoding="utf-8")
     p = write_json(workdir / "c.json", sft_config())
     assert run("train-sft", p, environ={}) == 3
     assert capsys.readouterr().err.startswith("forge: data-error:")
+    # a truncated tokenizer file is a data error too, not a traceback
+    (workdir / "tok.json").write_text("forge-tokenizer 1\nvocab 300\n0 00\n", encoding="utf-8")
+    assert run("train-sft", p, environ={}) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("forge: data-error:") and "tok.json" in err and err.count("\n") == 1
 
 
 def test_exit_3_on_empty_dataset(workdir, capsys):

@@ -109,6 +109,13 @@ def test_token_logprobs_gradient_flows():
         lp = token_logprobs(ckpt, tokens, from_pos=1)
         g.backward(T.sum_(lp))
         assert g.grad(ckpt.params["lm_head"]) is not None
+    # train_grpo takes its behaviour log-probs from the taped pass: the tape
+    # must not change a single bit of the values
+    np.testing.assert_array_equal(lp.data, token_logprobs(ckpt, tokens, from_pos=1).numpy())
+    ckpt32 = fresh_ckpt()
+    with T.Graph():
+        taped = token_logprobs(ckpt32, tokens, from_pos=2).data
+    np.testing.assert_array_equal(taped, token_logprobs(ckpt32, tokens, from_pos=2).numpy())
 
 
 # --- sft over packed batches ---
@@ -327,6 +334,30 @@ def test_train_grpo_smoke_and_determinism():
             assert row["mean_kl"] >= -1e-12
         runs.append([(r["loss"], r["mean_reward"], r["mean_kl"]) for r in rows])
     assert runs[0] == runs[1]
+
+
+def test_train_grpo_scores_each_rollout_once_per_policy(monkeypatch):
+    from forge.train import loops
+
+    calls = []
+    original = loops.token_logprobs
+
+    def counting(ckpt, tokens, from_pos):
+        calls.append((ckpt, T._current_graph() is not None))
+        return original(ckpt, tokens, from_pos)
+
+    monkeypatch.setattr(loops, "token_logprobs", counting)
+    policy = fresh_ckpt()
+    ref = clone(policy)
+    train_grpo(
+        policy, ref, load_rl_dataset(FIXTURES / "rl_math.jsonl")[:1], TOK,
+        TrainSettings(spec=constant_spec(1e-3, 1), steps=1),
+        group_size=3, max_tokens=4, seed=3,
+    )
+    # the reference tape-free, the policy once under the tape; no second
+    # tape-free pass of the policy for its behaviour log-probs
+    scored = sorted((c is policy, taped) for c, taped in calls)
+    assert scored == [(False, False)] * 3 + [(True, True)] * 3
 
 
 def test_train_grpo_rejects_small_group():

@@ -372,6 +372,27 @@ def test_grad_softmax_composites(composite):
     check(lambda p: (getattr(p["x"], composite)(-1) * w).sum(), {"x": x})
 
 
+def test_target_logprobs_rows_and_mask():
+    rng = np.random.default_rng(21)
+    targets = np.array([3, 0, 6, 2, 3])
+    mask = np.array([True, False, True, True, False])
+    for dtype in (np.float32, np.float64):
+        logits = Tensor(rng.standard_normal((5, 7)).astype(dtype), requires_grad=True)
+        want = logits.log_softmax(-1).numpy()[np.arange(5), targets]
+        np.testing.assert_array_equal(T.target_logprobs(logits, targets).numpy().sum(-1), want)
+        with Graph() as g:
+            dense = T.target_logprobs(logits, targets, mask)
+            g.backward(dense.sum())
+        rows = dense.numpy().sum(-1)
+        np.testing.assert_array_equal(rows[mask], want[mask])
+        np.testing.assert_array_equal(rows[~mask], 0.0)
+        grad = g.grad(logits)
+        np.testing.assert_array_equal(grad[~mask], 0.0)
+        assert np.all(grad[mask] != 0.0)
+    x = Tensor(rand(rng, 5, 7), requires_grad=True)
+    check(lambda p: T.target_logprobs(p["x"], targets, mask).sum(), {"x": x})
+
+
 def test_grad_random_fuzz_suite():
     """20 random compositions of primitives, all within tolerance."""
     rng = np.random.default_rng(19)

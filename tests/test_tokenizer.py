@@ -126,6 +126,24 @@ def test_save_load_roundtrip(tmp_path):
     assert again.encode(text) == tok.encode(text)
 
 
+@pytest.mark.parametrize("cut", [
+    lambda lines: lines[:1],  # header only
+    lambda lines: lines[:3],  # vocab header and one entry
+    lambda lines: lines[:258] + lines[259:],  # vocab entry missing
+    lambda lines: lines[:-2],  # specials section short
+    lambda lines: [line for line in lines if not line.startswith("merges ")],
+    lambda lines: lines[:-1] + ["x"],  # special entry without a name
+], ids=["header-only", "one-vocab-entry", "vocab-entry-missing", "specials-short", "no-merges-header",
+        "special-without-name"])
+def test_load_rejects_truncated_or_malformed_file(tmp_path, cut):
+    tok = allocate_chat_specials(train_bpe(["banana bandana"] * 4, 10), n_reserved=16)
+    path = tmp_path / "tok.txt"
+    save_tokenizer(tok, path)
+    path.write_text("\n".join(cut(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError, match=r"tok\.txt"):
+        load_tokenizer(path)
+
+
 def test_train_bpe_learns_frequent_pairs():
     merges = train_bpe(["aaaa aaaa aaaa"], 2)
     assert merges[0] == (A, A)
