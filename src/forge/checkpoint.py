@@ -66,7 +66,10 @@ def load_checkpoint(path) -> Checkpoint:
         raise ValueError(f"{path}: unsupported format version {version}")
     if len(head_lines) < 2 or not head_lines[1].startswith("config "):
         raise ValueError(f"{path}: missing config line")
-    config = ModelConfig.from_dict(json.loads(head_lines[1][len("config "):]))
+    try:
+        config = ModelConfig.from_dict(json.loads(head_lines[1][len("config "):]))
+    except ValueError as e:
+        raise ValueError(f"{path}: bad config line ({e})") from None
 
     params: dict[str, Tensor] = {}
     expected_offset = 0

@@ -6,7 +6,11 @@ Configs are JSON, validated fail-closed against the subcommand's schema:
 unknown keys are errors (with a nearest-key suggestion), missing required
 fields and constraint violations name the offending dotted path. Values
 can be overridden per run through FORGE_* environment variables (double
-underscore nests: FORGE_SCHEDULE__PEAK_LR=1e-3).
+underscore nests: FORGE_SCHEDULE__PEAK_LR=1e-3). After file, defaults,
+overrides and --seed, each leaf must match its kind in SCHEMAS: an existing
+input file (or a non-empty list), an output name under --out (or null), an
+int >= n, a number > 0 or >= 0, null or a list of numbers, or one of a set
+of strings; else a config error "<dotted.path>: expected <kind>, got <v>".
 
 Input paths resolve relative to the config file; outputs resolve under
 --out (default: the config's directory). Every run writes <command>_
@@ -21,10 +25,12 @@ import argparse
 import difflib
 import hashlib
 import json
+import math
 import os
 import platform
 import sys
-from dataclasses import replace
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -68,110 +74,146 @@ class _Required:
 
 REQUIRED = _Required()
 
-_SCHEDULE_SCHEMA = {
-    "peak_lr": None,  # per-stage default filled by caller
-    "min_lr": None,
-    "warmup_steps": None,
-    "total_steps": None,  # None -> steps
-    "shape": None,
-}
+
+@dataclass(frozen=True)
+class Kind:
+    """The type and range one config leaf must hold. An input kind also needs
+    each file it names to exist, relative to the config's directory."""
+
+    expected: str
+    ok: Callable[[object], bool]
+    inputs: bool = False
 
 
-def _schedule_schema(stage_defaults: dict) -> dict:
-    schema = dict(_SCHEDULE_SCHEMA)
-    schema.update(stage_defaults)
-    schema["total_steps"] = None
-    return schema
+def _is_number(v) -> bool:
+    return type(v) is int or (type(v) is float and math.isfinite(v))
+
+
+def _is_output_name(v) -> bool:
+    """A printable relative path that stays under the output directory."""
+    if not isinstance(v, str) or not v.isprintable() or Path(v).is_absolute():
+        return False
+    parts = Path(v).parts
+    return bool(parts) and ".." not in parts and all(len(p.encode()) < 256 for p in parts)
+
+
+def _optional(kind: Kind) -> Kind:
+    return Kind(f"null or {kind.expected}", lambda v: v is None or kind.ok(v))
+
+
+def _int(lo: int) -> Kind:
+    return Kind(f"an integer >= {lo}", lambda v: type(v) is int and v >= lo)
+
+
+def _one_of(*allowed: str) -> Kind:
+    return Kind("one of " + ", ".join(map(repr, allowed)), lambda v: type(v) is str and v in allowed)
+
+
+INPUT = Kind("an input path", lambda v: type(v) is str, inputs=True)
+INPUTS = Kind("a non-empty list of input paths",
+              lambda v: type(v) is list and v != [] and all(type(x) is str for x in v), inputs=True)
+OUTPUT = Kind("an output name", _is_output_name)
+POSITIVE = Kind("a number > 0", lambda v: _is_number(v) and v > 0)
+NON_NEGATIVE = Kind("a number >= 0", lambda v: _is_number(v) and v >= 0)
+NUMBERS = Kind("a list of numbers", lambda v: type(v) is list and all(map(_is_number, v)))
+SEED = (0, _int(0))
+
+
+def _schedule_schema(stage: dict) -> dict:
+    return {
+        "peak_lr": (stage["peak_lr"], NON_NEGATIVE),
+        "min_lr": (stage["min_lr"], NON_NEGATIVE),
+        "warmup_steps": (stage["warmup_steps"], _int(0)),
+        "total_steps": (None, _optional(_int(1))),  # None -> steps
+        "shape": (stage["shape"], _one_of("cosine", "constant")),
+    }
 
 
 _TRAIN_COMMON = {
-    "checkpoint": REQUIRED,
-    "tokenizer": REQUIRED,
-    "dataset": REQUIRED,
-    "output": "model.ckpt",
-    "log": None,
-    "steps": REQUIRED,
-    "accum": 8,
-    "max_grad_norm": 1.0,
-    "seed": 0,
+    "checkpoint": (REQUIRED, INPUT),
+    "tokenizer": (REQUIRED, INPUT),
+    "dataset": (REQUIRED, INPUT),
+    "output": ("model.ckpt", OUTPUT),
+    "log": (None, _optional(OUTPUT)),
+    "steps": (REQUIRED, _int(1)),
+    "accum": (8, _int(1)),
+    "max_grad_norm": (1.0, POSITIVE),
+    "seed": SEED,
 }
 
+# Every leaf is (default, kind); a dict value is a nested section.
 SCHEMAS: dict[str, dict] = {
     "upscale": {
-        "checkpoint": REQUIRED,
-        "m": REQUIRED,
-        "output": "upscaled.ckpt",
-        "seed": 0,
+        "checkpoint": (REQUIRED, INPUT),
+        "m": (REQUIRED, _int(0)),
+        "output": ("upscaled.ckpt", OUTPUT),
+        "seed": SEED,
     },
     "merge": {
-        "checkpoints": REQUIRED,
-        "weights": None,
-        "output": "merged.ckpt",
-        "seed": 0,
+        "checkpoints": (REQUIRED, INPUTS),
+        "weights": (None, _optional(NUMBERS)),
+        "output": ("merged.ckpt", OUTPUT),
+        "seed": SEED,
     },
     "train-sft": {
         **_TRAIN_COMMON,
-        "max_len": 512,
-        "weight_decay": 0.05,
+        "max_len": (512, _int(1)),
+        "weight_decay": (0.05, NON_NEGATIVE),
         "schedule": _schedule_schema(SFT_SCHEDULE),
     },
     "train-dpo": {
         **_TRAIN_COMMON,
-        "variant": "dpo",
-        "beta": 0.1,
-        "lam_dpop": 5.0,
-        "weight_decay": 0.05,
+        "variant": ("dpo", _one_of("dpo", "dpop")),
+        "beta": (0.1, POSITIVE),
+        "lam_dpop": (5.0, NON_NEGATIVE),
+        "weight_decay": (0.05, NON_NEGATIVE),
         "schedule": _schedule_schema(DPO_SCHEDULE),
     },
     "train-grpo": {
         **_TRAIN_COMMON,
-        "variant": "grpo",
-        "group_size": 8,
-        "temperature": 1.0,
-        "max_tokens": 64,
-        "clip_eps": 0.2,
-        "kl_coef": 0.001,
-        "prompts_per_step": 1,
-        "weight_decay": 0.0,
+        "variant": ("grpo", _one_of("grpo", "dr_grpo")),
+        "group_size": (8, _int(2)),
+        "temperature": (1.0, POSITIVE),
+        "max_tokens": (64, _int(1)),
+        "clip_eps": (0.2, NON_NEGATIVE),
+        "kl_coef": (0.001, NON_NEGATIVE),
+        "prompts_per_step": (1, _int(1)),
+        "weight_decay": (0.0, NON_NEGATIVE),
         "schedule": _schedule_schema(RL_SCHEDULE),
     },
     "eval": {
-        "checkpoint": REQUIRED,
-        "suite": REQUIRED,
-        "step": 0,
-        "report": "eval_report.json",
-        "monitor_csv": None,
-        "seed": 0,
+        "checkpoint": (REQUIRED, INPUT),
+        "suite": (REQUIRED, INPUT),
+        "step": (0, _int(0)),
+        "report": ("eval_report.json", OUTPUT),
+        "monitor_csv": (None, _optional(OUTPUT)),
+        "seed": SEED,
     },
     "tokstats": {
-        "tokenizer": REQUIRED,
-        "texts": REQUIRED,
-        "report": "tokstats.tsv",
-        "seed": 0,
+        "tokenizer": (REQUIRED, INPUT),
+        "texts": (REQUIRED, INPUTS),
+        "report": ("tokstats.tsv", OUTPUT),
+        "seed": SEED,
     },
     "scrub": {
-        "inputs": REQUIRED,
-        "out_dir": "scrubbed",
-        "report": "scrub_report.tsv",
-        "seed": 0,
+        "inputs": (REQUIRED, INPUTS),
+        "out_dir": ("scrubbed", OUTPUT),
+        "report": ("scrub_report.tsv", OUTPUT),
+        "seed": SEED,
     },
     "pack": {
-        "tokenizer": REQUIRED,
-        "dataset": REQUIRED,
-        "max_len": REQUIRED,
-        "output": "packed.jsonl",
-        "seed": 0,
+        "tokenizer": (REQUIRED, INPUT),
+        "dataset": (REQUIRED, INPUT),
+        "max_len": (REQUIRED, _int(1)),
+        "output": ("packed.jsonl", OUTPUT),
+        "seed": SEED,
     },
     "verify": {
-        "fixtures": REQUIRED,
-        "report": "verify_report.json",
-        "seed": 0,
+        "fixtures": (REQUIRED, INPUT),
+        "report": ("verify_report.json", OUTPUT),
+        "seed": SEED,
     },
 }
-
-# config keys naming input files/directories, checked for existence up front
-_PATH_KEYS = {"checkpoint", "tokenizer", "dataset", "suite", "fixtures"}
-_PATH_LIST_KEYS = {"checkpoints", "texts", "inputs"}
 
 ENV_PREFIX = "FORGE_"
 
@@ -184,23 +226,20 @@ def _suggest(key: str, known) -> str:
 def _validate_section(raw: dict, schema: dict, at: str) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(f"{at or 'config'}: expected an object")
-    out = {}
-    for key, value in raw.items():
-        path = f"{at}.{key}" if at else key
+    for key in raw:
         if key not in schema:
-            raise ConfigError(f"unknown key {path!r}{_suggest(key, schema)}")
-        spec = schema[key]
-        if isinstance(spec, dict):
-            out[key] = _validate_section(value, spec, path)
-        else:
-            out[key] = value
+            raise ConfigError(f"unknown key {(f'{at}.{key}' if at else key)!r}{_suggest(key, schema)}")
+    out = {}
     for key, spec in schema.items():
-        if key in out:
-            continue
         path = f"{at}.{key}" if at else key
-        if spec is REQUIRED:
+        if isinstance(spec, dict):
+            out[key] = _validate_section(raw.get(key, {}), spec, path)
+        elif key in raw:
+            out[key] = raw[key]
+        elif spec[0] is REQUIRED:
             raise ConfigError(f"missing required key {path!r}")
-        out[key] = dict(spec) if isinstance(spec, dict) else spec
+        else:
+            out[key] = spec[0]
     return out
 
 
@@ -241,43 +280,30 @@ def _user_paths(raw: dict, at=()) -> set:
     return out
 
 
-def _check_paths(cfg: dict, base: Path) -> None:
-    for key in sorted(_PATH_KEYS & cfg.keys()):
-        if cfg[key] is None:
+def _check_leaves(cfg: dict, schema: dict, base: Path, at: str = "") -> None:
+    """Every leaf against its kind; input files resolve against base."""
+    for key, spec in schema.items():
+        path, value = f"{at}.{key}" if at else key, cfg[key]
+        if isinstance(spec, dict):
+            _check_leaves(value, spec, base, path)
             continue
-        if not isinstance(cfg[key], str):
-            raise ConfigError(f"{key}: expected a path string, got {cfg[key]!r}")
-        p = base / cfg[key]
-        if not p.exists():
-            raise ConfigError(f"{key}: path does not exist: {p}")
-    for key in sorted(_PATH_LIST_KEYS & cfg.keys()):
-        items = cfg[key]
-        if not isinstance(items, list) or not items:
-            raise ConfigError(f"{key}: expected a non-empty list of paths")
-        for i, item in enumerate(items):
-            if not isinstance(item, str):
-                raise ConfigError(f"{key}[{i}]: expected a path string, got {item!r}")
-            p = base / item
-            if not p.exists():
-                raise ConfigError(f"{key}[{i}]: path does not exist: {p}")
+        kind = spec[1]
+        if not kind.ok(value):
+            raise ConfigError(f"{path}: expected {kind.expected}, got {value!r}")
+        if kind.inputs:
+            many = isinstance(value, list)
+            for i, rel in enumerate(value if many else [value]):
+                p = base / rel
+                if not p.is_file():
+                    why = "not a file" if p.exists() else "path does not exist"
+                    raise ConfigError(f"{path}{f'[{i}]' if many else ''}: {why}: {p}")
 
 
-def _check_number(value, path: str, integer: bool) -> None:
-    """Reject a leaf that is compared numerically but is not a (whole) number."""
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        raise ConfigError(f"{path}: expected {'an integer' if integer else 'a number'}, got {value!r}")
-
-
-def _cross_checks(command: str, cfg: dict, user_set) -> None:
-    for key, integer in (("steps", True), ("accum", True), ("max_grad_norm", False), ("temperature", False)):
-        if key in cfg:
-            _check_number(cfg[key], key, integer)
+def _cross_checks(cfg: dict, user_set) -> None:
     if "schedule" in cfg:
         sched = cfg["schedule"]
         if sched["total_steps"] is None:
             sched["total_steps"] = cfg["steps"]
-        for key in ("warmup_steps", "total_steps"):
-            _check_number(sched[key], f"schedule.{key}", integer=True)
         if sched["warmup_steps"] > sched["total_steps"]:
             if ("schedule", "warmup_steps") in user_set:
                 raise ConfigError(
@@ -286,19 +312,10 @@ def _cross_checks(command: str, cfg: dict, user_set) -> None:
                 )
             # stage-default warmup on a short run: clamp to the budget
             sched["warmup_steps"] = sched["total_steps"]
-    if command == "train-dpo" and cfg["variant"] not in ("dpo", "dpop"):
-        raise ConfigError(f"variant: must be dpo or dpop, got {cfg['variant']!r}")
-    if command == "train-grpo":
-        if cfg["variant"] not in ("grpo", "dr_grpo"):
-            raise ConfigError(f"variant: must be grpo or dr_grpo, got {cfg['variant']!r}")
-        if not isinstance(cfg["group_size"], int) or cfg["group_size"] < 2:
-            raise ConfigError(f"group_size: must be an integer >= 2, got {cfg['group_size']!r}")
-        if cfg["temperature"] <= 0:
-            raise ConfigError(f"temperature: must be positive, got {cfg['temperature']!r}")
 
 
 def validate_config(command: str, config_path, seed_override=None, environ=None) -> dict:
-    """Parsed, defaulted, overridden, cross-checked run config."""
+    """Parsed, defaulted, overridden, leaf-checked, cross-checked run config."""
     if command not in SCHEMAS:
         raise ConfigError(f"unknown command {command!r}{_suggest(command, SCHEMAS)}")
     config_path = Path(config_path)
@@ -312,34 +329,22 @@ def validate_config(command: str, config_path, seed_override=None, environ=None)
     user_set = _user_paths(raw) | _apply_env_overrides(cfg, SCHEMAS[command], environ)
     if seed_override is not None:
         cfg["seed"] = seed_override
-    if not isinstance(cfg["seed"], int) or cfg["seed"] < 0:
-        raise ConfigError(f"seed: expected a non-negative integer, got {cfg['seed']!r}")
-    _check_paths(cfg, config_path.parent)
-    _cross_checks(command, cfg, user_set)
+    _check_leaves(cfg, SCHEMAS[command], config_path.parent)
+    _cross_checks(cfg, user_set)
     return cfg
 
 
 def _schedule_from(cfg: dict) -> ScheduleSpec:
-    s = cfg["schedule"]
     try:
-        return ScheduleSpec(
-            peak_lr=s["peak_lr"], min_lr=s["min_lr"],
-            warmup_steps=s["warmup_steps"], total_steps=s["total_steps"],
-            shape=s["shape"],
-        )
+        return ScheduleSpec(**cfg["schedule"])
     except ValueError as e:
         raise ConfigError(f"schedule: {e}") from None
 
 
 def _settings_from(cfg: dict) -> TrainSettings:
     try:
-        return TrainSettings(
-            spec=_schedule_from(cfg),
-            steps=cfg["steps"],
-            accum=cfg["accum"],
-            weight_decay=cfg["weight_decay"],
-            max_grad_norm=cfg["max_grad_norm"],
-        )
+        return TrainSettings(spec=_schedule_from(cfg), steps=cfg["steps"], accum=cfg["accum"],
+                             weight_decay=cfg["weight_decay"], max_grad_norm=cfg["max_grad_norm"])
     except ValueError as e:
         raise ConfigError(str(e)) from None
 
@@ -500,7 +505,10 @@ def cmd_eval(ctx: RunContext) -> None:
     except (ValueError, OSError, json.JSONDecodeError) as e:
         raise DataError(f"suite: {e}") from None
     csv_path = ctx.out(cfg["monitor_csv"]) if cfg["monitor_csv"] else None
-    report = run_suite(ckpt, tasks, step=cfg["step"], csv_path=csv_path)
+    try:
+        report = run_suite(ckpt, tasks, step=cfg["step"], csv_path=csv_path)
+    except ValueError as e:  # e.g. a monitoring CSV written for other tasks
+        raise DataError(str(e)) from None
     ctx.out(cfg["report"]).write_text(report.to_json(), encoding="utf-8")
     for s in report.scores:
         print(f"{s.name}\traw {s.raw:.4f}\tnormalized {s.normalized:.4f}")
@@ -562,18 +570,7 @@ def cmd_verify(ctx: RunContext) -> None:
         print(f"{kind}\t{acc:.4f}")
 
 
-COMMANDS = {
-    "upscale": cmd_upscale,
-    "merge": cmd_merge,
-    "train-sft": cmd_train_sft,
-    "train-dpo": cmd_train_dpo,
-    "train-grpo": cmd_train_grpo,
-    "eval": cmd_eval,
-    "tokstats": cmd_tokstats,
-    "scrub": cmd_scrub,
-    "pack": cmd_pack,
-    "verify": cmd_verify,
-}
+COMMANDS = {name: globals()["cmd_" + name.replace("-", "_")] for name in SCHEMAS}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -599,14 +596,17 @@ def run(command: str, config_path, out_dir=None, seed=None, environ=None) -> int
         ctx.write_manifest()
         return 0
     except ConfigError as e:
-        print(f"forge: config-error: {e}", file=sys.stderr)
-        return 2
+        return _fail("config-error", e, 2)
     except DataError as e:
-        print(f"forge: data-error: {e}", file=sys.stderr)
-        return 3
+        return _fail("data-error", e, 3)
     except NumericError as e:
-        print(f"forge: numeric-error: {e}", file=sys.stderr)
-        return 4
+        return _fail("numeric-error", e, 4)
+
+
+def _fail(kind: str, e: Exception, code: int) -> int:
+    """One stderr line, even when the message quotes a value holding newlines."""
+    print(f"forge: {kind}: " + str(e).replace("\r", "\\r").replace("\n", "\\n"), file=sys.stderr)
+    return code
 
 
 def main(argv=None) -> int:

@@ -10,7 +10,7 @@ at the call site, which is all desk-scale fixtures need.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -35,6 +35,10 @@ class ModelConfig:
     rmsnorm_eps: float = 1e-5
 
     def __post_init__(self):
+        for name in ("n_layers", "d_model", "n_heads", "n_kv_heads", "head_size", "d_ff", "vocab_size",
+                     "native_ctx"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.n_heads % self.n_kv_heads != 0:
             raise ValueError(
                 f"n_heads ({self.n_heads}) must be divisible by n_kv_heads ({self.n_kv_heads})"
@@ -45,9 +49,6 @@ class ModelConfig:
             raise ValueError(
                 f"extended_ctx ({self.extended_ctx}) must be a multiple of native_ctx ({self.native_ctx})"
             )
-        for name in ("n_layers", "d_model", "d_ff", "vocab_size", "native_ctx"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
 
     @property
     def group_size(self) -> int:
@@ -62,6 +63,16 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        """Inverse of to_dict; ValueError on a non-object, an unknown field or
+        a value of the wrong type (an int field takes no float or bool)."""
+        if not isinstance(d, dict):
+            raise ValueError(f"config is not an object: {d!r}")
+        want = {f.name: type(f.default) for f in fields(cls)}
+        for name, value in d.items():
+            if name not in want:
+                raise ValueError(f"unknown config field {name!r}")
+            if not (type(value) is want[name] or (want[name] is float and type(value) is int)):
+                raise ValueError(f"config field {name!r}: expected {want[name].__name__}, got {value!r}")
         return cls(**d)
 
 

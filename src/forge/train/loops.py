@@ -22,7 +22,7 @@ from ..datapipe.records import read_records
 from ..model import Checkpoint, forward
 from ..rng import named_rng
 from ..tensor import Graph, Tensor
-from ..verifiers import verify
+from ..verifiers import check_truth, verify
 from .losses import GrpoGroup, PreferenceBatch, dpo_loss, dpop_loss, grpo_objective, sft_loss
 from .optim import adamw_step, clip_grad_norm, init_state
 from .schedule import ScheduleSpec, lr_at
@@ -253,8 +253,7 @@ def train_dpo(
 # --- group-relative policy optimization ---
 
 def _rl_problem(rec) -> dict:
-    if rec["verifier"] not in ("math", "mcq", "tool"):
-        raise ValueError(f"unknown verifier {rec['verifier']!r}")
+    check_truth(rec["verifier"], rec["truth"])
     return {"prompt": messages_from(rec["prompt"]), "verifier": rec["verifier"], "truth": rec["truth"]}
 
 

@@ -257,6 +257,35 @@ def toolcall_verify(response, expected: list[ToolCall], order_sensitive: bool = 
     return VerifyResult(0, "arg_mismatch")
 
 
+_TRUTH_SHAPES = {
+    "math": "a string",
+    "mcq": "an object whose correct is among non-empty, distinct string labels",
+    "tool": "an object with a non-empty expected list of calls, each with a name",
+}
+
+
+def _is_call(c) -> bool:
+    return (isinstance(c, dict) and isinstance(c.get("name"), str) and c["name"] != ""
+            and isinstance(c.get("arguments", {}), dict))
+
+
+def check_truth(kind: str, truth) -> None:
+    """Raise ValueError unless truth has the shape ``verify`` reads for kind."""
+    if kind not in _TRUTH_SHAPES:
+        raise ValueError(f"unknown verifier kind {kind!r}")
+    obj = truth if isinstance(truth, dict) else {}
+    labels, calls = obj.get("labels"), obj.get("expected")
+    if kind == "math":
+        ok = isinstance(truth, str)
+    elif kind == "mcq":
+        ok = (isinstance(labels, list) and labels != [] and all(isinstance(lab, str) for lab in labels)
+              and len(set(labels)) == len(labels) and obj.get("correct") in labels)
+    else:
+        ok = isinstance(calls, list) and calls != [] and all(map(_is_call, calls))
+    if not ok:
+        raise ValueError(f"{kind} truth: expected {_TRUTH_SHAPES[kind]}, got {truth!r}")
+
+
 def verify(kind: str, response: str, truth) -> VerifyResult:
     """Dispatch by problem kind; truth schema is kind-specific."""
     if kind == "math":

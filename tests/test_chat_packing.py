@@ -158,6 +158,17 @@ LOADERS = {
     "rl": (load_rl_dataset, {"prompt": USER, "verifier": "math", "truth": "4"}),
     "task": (load_task_items, {"context": [1], "choices": [[2], [3]], "gold": 0}),
 }
+# records that parse as JSON objects but would crash a later stage
+BAD_RECORDS = {
+    "rl": [
+        {"prompt": USER, "verifier": "math", "truth": 4},
+        {"prompt": USER, "verifier": "mcq", "truth": "B"},
+        {"prompt": USER, "verifier": "mcq", "truth": {"labels": ["A", "A"], "correct": "A"}},
+        {"prompt": USER, "verifier": "mcq", "truth": {"labels": ["A", "B"], "correct": "C"}},
+        {"prompt": USER, "verifier": "tool", "truth": {}},
+        {"prompt": USER, "verifier": "tool", "truth": {"expected": [{"arguments": {}}]}},
+    ],
+}
 
 
 @pytest.mark.parametrize("kind", sorted(LOADERS))
@@ -167,7 +178,7 @@ def test_record_loaders_skip_blanks_and_name_bad_lines(tmp_path, kind):
     path = tmp_path / "records.jsonl"
     path.write_text("\n" + good + "\n   \n" + good + "\n", encoding="utf-8")
     assert len(load(path)) == 2
-    for bad in ("not json", "[1, 2]", '"text"', "7"):
+    for bad in ("not json", "[1, 2]", '"text"', "7", *map(json.dumps, BAD_RECORDS.get(kind, []))):
         path.write_text(good + "\n\n" + bad + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"records\.jsonl:3"):
             load(path)

@@ -1,17 +1,21 @@
 """Command line: config validation, overrides, exit codes, artifact determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from forge.checkpoint import load_checkpoint, save_checkpoint
-from forge.cli import ConfigError, run, validate_config
+from forge.cli import REQUIRED, SCHEMAS, ConfigError, run, validate_config
 from forge.datapipe.tokenizer import allocate_chat_specials, save_tokenizer
 from forge.model import ModelConfig, init_params
 from forge.rng import named_rng
@@ -34,15 +38,20 @@ def write_json(path, obj):
     return path
 
 
+def populate(dirpath):
+    """Tokenizer, one-layer checkpoint and the three training datasets."""
+    save_tokenizer(TOK, dirpath / "tok.json")
+    ckpt = init_params(toy_config(), named_rng(11, "cli-test"), dtype=np.float32)
+    save_checkpoint(ckpt, dirpath / "base.ckpt")
+    shutil.copy(FIX / "sft_dialogues.jsonl", dirpath / "sft.jsonl")
+    shutil.copy(FIX / "preference_pairs.jsonl", dirpath / "pairs.jsonl")
+    shutil.copy(FIX / "rl_math.jsonl", dirpath / "rl.jsonl")
+    return dirpath
+
+
 @pytest.fixture
 def workdir(tmp_path):
-    save_tokenizer(TOK, tmp_path / "tok.json")
-    ckpt = init_params(toy_config(), named_rng(11, "cli-test"), dtype=np.float32)
-    save_checkpoint(ckpt, tmp_path / "base.ckpt")
-    shutil.copy(FIX / "sft_dialogues.jsonl", tmp_path / "sft.jsonl")
-    shutil.copy(FIX / "preference_pairs.jsonl", tmp_path / "pairs.jsonl")
-    shutil.copy(FIX / "rl_math.jsonl", tmp_path / "rl.jsonl")
-    return tmp_path
+    return populate(tmp_path)
 
 
 def sft_config(steps=2, **extra):
@@ -196,10 +205,19 @@ def test_exit_2_on_config_error(workdir, capsys):
     assert err.startswith("forge: config-error:") and err.count("\n") == 1
 
 
+def test_error_is_one_line_when_a_value_holds_newlines(workdir, capsys):
+    p = write_json(workdir / "c.json", {"checkpoint": "a\nb.ckpt", "m": 0})
+    assert run("upscale", p, environ={}) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("forge: config-error: checkpoint: path does not exist:") and err.count("\n") == 1
+
+
 GRPO_BASE = {
     "checkpoint": "base.ckpt", "tokenizer": "tok.json", "dataset": "rl.jsonl",
     "steps": 1, "schedule": {"peak_lr": 1e-3, "warmup_steps": 0},
 }
+DPO_BASE = {**GRPO_BASE, "dataset": "pairs.jsonl"}
+EVAL_BASE = {"checkpoint": "base.ckpt", "suite": "suite.json"}
 
 
 @pytest.mark.parametrize("command,cfg,env,key", [
@@ -211,8 +229,16 @@ GRPO_BASE = {
     ("train-sft", sft_config(), {"FORGE_SCHEDULE__WARMUP_STEPS": "true"}, "schedule.warmup_steps"),
     ("train-sft", sft_config(), {"FORGE_SCHEDULE__TOTAL_STEPS": '"3"'}, "schedule.total_steps"),
     ("train-grpo", GRPO_BASE, {"FORGE_TEMPERATURE": "[1]"}, "temperature"),
-], ids=["m-float", "m-bool", "steps", "accum", "max_grad_norm", "warmup_steps", "total_steps", "temperature"])
+    ("train-sft", sft_config(), {"FORGE_SCHEDULE__PEAK_LR": "null"}, "schedule.peak_lr"),
+    ("train-sft", sft_config(), {"FORGE_SCHEDULE__MIN_LR": '"abc"'}, "schedule.min_lr"),
+    ("train-sft", sft_config(), {"FORGE_MAX_LEN": '"x"'}, "max_len"),
+    ("train-dpo", DPO_BASE, {"FORGE_BETA": "[]"}, "beta"),
+    ("train-sft", sft_config(), {"FORGE_OUTPUT": "0"}, "output"),
+    ("eval", EVAL_BASE, {"FORGE_STEP": '"x"'}, "step"),
+], ids=["m-float", "m-bool", "steps", "accum", "max_grad_norm", "warmup_steps", "total_steps", "temperature",
+        "peak_lr", "min_lr", "max_len", "beta", "output", "eval-step"])
 def test_exit_2_on_mistyped_number(workdir, capsys, command, cfg, env, key):
+    make_eval_suite(workdir)
     p = write_json(workdir / "c.json", cfg)
     assert run(command, p, environ=env) == 2
     err = capsys.readouterr().err
@@ -428,6 +454,81 @@ def test_eval_writes_report_and_monitor(workdir):
     monitor = (workdir / "monitor.csv").read_text().strip().splitlines()
     assert monitor[0] == "step,arith_ll,arith_gen,average"
     assert monitor[1].startswith("7,")
+
+
+def test_eval_monitor_csv_for_other_tasks_is_data_error(workdir, capsys):
+    make_eval_suite(workdir)
+    p = write_json(workdir / "e.json", {**EVAL_BASE, "monitor_csv": "monitor.csv"})
+    assert run("eval", p, environ={}) == 0
+    suite = json.loads((workdir / "suite.json").read_text())
+    suite["tasks"][0]["name"] = "renamed"
+    write_json(workdir / "suite.json", suite)
+    capsys.readouterr()
+    assert run("eval", p, environ={}) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("forge: data-error: monitoring CSV header") and err.count("\n") == 1
+
+
+# every leaf has a kind
+
+
+def schema_leaves(schema, at=()):
+    for key, spec in schema.items():
+        if isinstance(spec, dict):
+            yield from schema_leaves(spec, at + (key,))
+        else:
+            yield at + (key,), spec
+
+
+def test_every_schema_default_passes_its_own_kind():
+    for command, schema in SCHEMAS.items():
+        for leaf, (default, kind) in schema_leaves(schema):
+            assert default is REQUIRED or kind.ok(default), (command, leaf, default, kind.expected)
+
+
+PROPERTY_CONFIGS = {
+    "upscale": {"checkpoint": "base.ckpt", "m": 0},
+    "merge": {"checkpoints": ["base.ckpt", "base.ckpt"], "weights": [0.5, 0.5]},
+    "train-sft": sft_config(steps=1),
+    "train-dpo": {**DPO_BASE, "accum": 1},
+    "train-grpo": {**GRPO_BASE, "accum": 1, "group_size": 2, "max_tokens": 4},
+    "eval": EVAL_BASE,
+    "tokstats": {"tokenizer": "tok.json", "texts": ["sample.txt"]},
+    "scrub": {"inputs": ["sample.txt"]},
+    "pack": {"tokenizer": "tok.json", "dataset": "sft.jsonl", "max_len": 64},
+    "verify": {"fixtures": "golden.jsonl"},
+}
+LEAVES = [(command, leaf, kind) for command in sorted(SCHEMAS) for leaf, (_, kind) in schema_leaves(SCHEMAS[command])]
+# Numbers stay in [-2, 3] so that valid draws make small, fast runs.
+SCALARS = st.none() | st.booleans() | st.text(max_size=6) | st.integers(-2, 3) | st.floats(-2, 3)
+JSON_VALUES = SCALARS | st.lists(SCALARS, max_size=3) | st.dictionaries(st.text(max_size=3), SCALARS, max_size=3)
+
+
+@pytest.fixture(scope="module")
+def property_workspace(tmp_path_factory):
+    ws = populate(tmp_path_factory.mktemp("property"))
+    make_eval_suite(ws)
+    shutil.copy(FIX / "verifier_golden.jsonl", ws / "golden.jsonl")
+    (ws / "sample.txt").write_text("ala ma kota, a@b.pl\n", encoding="utf-8")
+    for command, cfg in PROPERTY_CONFIGS.items():
+        write_json(ws / f"{command}.json", cfg)
+    return ws
+
+
+@settings(max_examples=300, deadline=None)
+@given(pick=st.sampled_from(LEAVES), value=JSON_VALUES)
+def test_any_leaf_value_exits_with_a_code_and_one_line(property_workspace, pick, value):
+    command, leaf, kind = pick
+    env = {"FORGE_" + "__".join(leaf).upper(): json.dumps(value)}
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory(dir=property_workspace) as out, \
+            contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run(command, property_workspace / f"{command}.json", out_dir=out, environ=env)
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert err.getvalue().startswith("forge: ") and err.getvalue().count("\n") == 1, err.getvalue()
+    if not kind.ok(value):
+        assert code == 2 and err.getvalue().startswith(f"forge: config-error: {'.'.join(leaf)}:")
 
 
 # full pipeline determinism

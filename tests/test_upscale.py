@@ -1,5 +1,7 @@
 """Depth up-scaling map, merging identities, and checkpoint file round trips."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -205,6 +207,24 @@ def test_checkpoint_load_rejects_truncated(tmp_path):
     blob = p.read_bytes()
     p.write_bytes(blob[:-16])
     with pytest.raises(ValueError):
+        load_checkpoint(p)
+
+
+@pytest.mark.parametrize("config", [
+    lambda d: [],
+    lambda d: {**d, "n_experts": 4},
+    lambda d: {**d, "n_heads": str(d["n_heads"])},
+    lambda d: {**d, "n_layers": float(d["n_layers"])},
+    lambda d: {**d, "n_kv_heads": 0},
+], ids=["not-an-object", "unknown-field", "mistyped-field", "float-for-int", "zero-kv-heads"])
+def test_checkpoint_load_rejects_bad_config_line(tmp_path, config):
+    ckpt = init_params(toy_config(2), named_rng(53, "init"))
+    p = tmp_path / "c.ckpt"
+    save_checkpoint(ckpt, p)
+    magic, _, rest = p.read_bytes().split(b"\n", 2)
+    line = json.dumps(config(ckpt.config.to_dict())).encode()
+    p.write_bytes(magic + b"\nconfig " + line + b"\n" + rest)
+    with pytest.raises(ValueError, match=r"c\.ckpt"):
         load_checkpoint(p)
 
 
