@@ -83,6 +83,7 @@ class Kind:
     expected: str
     ok: Callable[[object], bool]
     inputs: bool = False
+    output: bool = False
 
 
 def _is_number(v) -> bool:
@@ -98,7 +99,7 @@ def _is_output_name(v) -> bool:
 
 
 def _optional(kind: Kind) -> Kind:
-    return Kind(f"null or {kind.expected}", lambda v: v is None or kind.ok(v))
+    return Kind(f"null or {kind.expected}", lambda v: v is None or kind.ok(v), output=kind.output)
 
 
 def _int(lo: int) -> Kind:
@@ -112,7 +113,7 @@ def _one_of(*allowed: str) -> Kind:
 INPUT = Kind("an input path", lambda v: type(v) is str, inputs=True)
 INPUTS = Kind("a non-empty list of input paths",
               lambda v: type(v) is list and v != [] and all(type(x) is str for x in v), inputs=True)
-OUTPUT = Kind("an output name", _is_output_name)
+OUTPUT = Kind("an output name", _is_output_name, output=True)
 POSITIVE = Kind("a number > 0", lambda v: _is_number(v) and v > 0)
 NON_NEGATIVE = Kind("a number >= 0", lambda v: _is_number(v) and v >= 0)
 NUMBERS = Kind("a list of numbers", lambda v: type(v) is list and all(map(_is_number, v)))
@@ -314,6 +315,16 @@ def _cross_checks(cfg: dict, user_set) -> None:
             sched["warmup_steps"] = sched["total_steps"]
 
 
+def _check_outputs_apart(cfg: dict, schema: dict) -> None:
+    """No output may name another output's path or a directory above it."""
+    named = [(key, Path(cfg[key])) for key, spec in schema.items()
+             if not isinstance(spec, dict) and spec[1].output and cfg[key] is not None]
+    for i, (a, pa) in enumerate(named):
+        for b, pb in named[i + 1:]:
+            if pa == pb or pa in pb.parents or pb in pa.parents:
+                raise ConfigError(f"{b}: {cfg[b]!r} overlaps {a} {cfg[a]!r}")
+
+
 def validate_config(command: str, config_path, seed_override=None, environ=None) -> dict:
     """Parsed, defaulted, overridden, leaf-checked, cross-checked run config."""
     if command not in SCHEMAS:
@@ -330,6 +341,7 @@ def validate_config(command: str, config_path, seed_override=None, environ=None)
     if seed_override is not None:
         cfg["seed"] = seed_override
     _check_leaves(cfg, SCHEMAS[command], config_path.parent)
+    _check_outputs_apart(cfg, SCHEMAS[command])
     _cross_checks(cfg, user_set)
     return cfg
 
@@ -515,11 +527,20 @@ def cmd_eval(ctx: RunContext) -> None:
     print(f"average\t{report.average:.4f}")
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+    except OSError as e:
+        raise DataError(f"{path}: {e.strerror}") from None
+
+
 def cmd_tokstats(ctx: RunContext) -> None:
     tok = _load_tok(ctx.inp(ctx.cfg["tokenizer"]))
     lines = ["file\ttokens\tchars\twords\tcpt\ttpw"]
     for rel in ctx.cfg["texts"]:
-        text = ctx.inp(rel).read_text(encoding="utf-8")
+        text = _read_text(ctx.inp(rel))
         st = token_stats(tok, text)
         cpt = "" if st.cpt is None else f"{st.cpt:.4f}"
         tpw = "" if st.tpw is None else f"{st.tpw:.4f}"
@@ -532,7 +553,7 @@ def cmd_tokstats(ctx: RunContext) -> None:
 def cmd_scrub(ctx: RunContext) -> None:
     lines = ["file\tcategory\tcount"]
     for rel in ctx.cfg["inputs"]:
-        text = ctx.inp(rel).read_text(encoding="utf-8")
+        text = _read_text(ctx.inp(rel))
         redacted, report = scrub(text)
         name = Path(rel).name
         ctx.out(Path(ctx.cfg["out_dir"]) / name).write_text(redacted, encoding="utf-8")
@@ -585,14 +606,17 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def run(command: str, config_path, out_dir=None, seed=None, environ=None) -> int:
-    """Validate, dispatch, write manifest; returns the process exit code."""
+    """Validate, dispatch, write manifest; returns the process exit code.
+    numpy floating-point warnings are silenced: a blow-up reports itself as
+    one numeric-error line (exit 4), not as warnings ahead of it."""
     try:
         cfg = validate_config(command, config_path, seed_override=seed, environ=environ)
         config_path = Path(config_path)
         out_root = Path(out_dir) if out_dir is not None else config_path.parent
         out_root.mkdir(parents=True, exist_ok=True)
         ctx = RunContext(command, cfg, config_path, out_root)
-        COMMANDS[command](ctx)
+        with np.errstate(all="ignore"):
+            COMMANDS[command](ctx)
         ctx.write_manifest()
         return 0
     except ConfigError as e:

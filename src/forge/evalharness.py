@@ -22,6 +22,7 @@ import numpy as np
 
 from . import tensor as T
 from .datapipe.records import read_records
+from .decode import decode
 from .model import Checkpoint, forward
 
 MODES = ("loglikelihood", "generate")
@@ -149,15 +150,9 @@ def generate_greedy(ckpt: Checkpoint, context, max_new: int, stop=()) -> list[in
     if not len(context):
         raise ValueError("context is empty")
     stop = set(int(s) for s in stop)
-    seq = [int(t) for t in context]
-    out = []
-    for _ in range(max_new):
-        logits = forward(ckpt, seq).numpy()
-        nxt = int(np.argmax(logits[-1]))
-        if nxt in stop:
-            break
-        out.append(nxt)
-        seq.append(nxt)
+    out = decode(ckpt, context, max_new, np.argmax, stop)
+    if out and out[-1] in stop:
+        out.pop()
     return out
 
 

@@ -4,7 +4,8 @@ frequency interpolation), grouped-query attention, pre-norm residual stack.
 All functions are pure over a parameter dict so the same code path serves
 training (under a tape) and evaluation (tape-free). Shapes are per-sequence:
 ``forward`` maps T token ids to a T x vocab logit matrix; batching is a loop
-at the call site, which is all desk-scale fixtures need.
+at the call site. Sampling and greedy generation do not call ``forward`` per
+token: ``forge.decode`` mirrors it in plain numpy with a key/value cache.
 """
 
 from __future__ import annotations
@@ -327,6 +328,15 @@ def build_attention_mask(segment_ids: np.ndarray, dtype=bool) -> np.ndarray:
     return (same & causal).astype(dtype)
 
 
+def check_token_ids(tokens, vocab_size: int) -> np.ndarray:
+    """tokens as int64, or ValueError naming an id outside [0, vocab_size)."""
+    tokens = np.asarray(tokens, dtype=np.int64)
+    if tokens.size and (tokens.min() < 0 or tokens.max() >= vocab_size):
+        bad = int(tokens.min()) if tokens.min() < 0 else int(tokens.max())
+        raise ValueError(f"token id {bad} out of range for vocab of {vocab_size}")
+    return tokens
+
+
 def forward(
     ckpt: Checkpoint,
     tokens,
@@ -341,11 +351,8 @@ def forward(
     sequences never attend across sample boundaries.
     """
     cfg = ckpt.config
-    tokens = np.asarray(tokens, dtype=np.int64)
+    tokens = check_token_ids(tokens, cfg.vocab_size)
     t_len = len(tokens)
-    if tokens.size and (tokens.min() < 0 or tokens.max() >= cfg.vocab_size):
-        bad = int(tokens.min()) if tokens.min() < 0 else int(tokens.max())
-        raise ValueError(f"token id {bad} out of range for vocab of {cfg.vocab_size}")
     if segment_ids is None:
         segment_ids = np.zeros(t_len, dtype=np.int64)
     if positions is None:

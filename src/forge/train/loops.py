@@ -19,6 +19,7 @@ from .. import tensor as T
 from ..datapipe.chat import ChatSample, build_loss_mask, messages_from, render_chat
 from ..datapipe.packing import PackedBatch
 from ..datapipe.records import read_records
+from ..decode import decode, prefill
 from ..model import Checkpoint, forward
 from ..rng import named_rng
 from ..tensor import Graph, Tensor
@@ -272,30 +273,30 @@ def sample_response(
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     suppress = list(suppress)
-    seq = [int(t) for t in prompt_ids]
-    out: list[int] = []
-    for _ in range(max_tokens):
-        logits = forward(ckpt, seq).numpy()[-1].astype(np.float64) / temperature
+
+    def draw(logits):
+        logits = logits.astype(np.float64) / temperature
         if suppress:
             logits[suppress] = -np.inf
         z = logits - logits.max()
         p = np.exp(z)
         p /= p.sum()
-        nxt = int(rng.choice(len(p), p=p))
-        out.append(nxt)
-        seq.append(nxt)
-        if nxt == stop_id:
-            break
-    return out
+        return rng.choice(len(p), p=p)
+
+    return decode(ckpt, prompt_ids, max_tokens, draw, stop=(stop_id,))
 
 
 def token_logprobs(ckpt: Checkpoint, tokens, from_pos: int) -> Tensor:
-    """Per-token log-probs of tokens[from_pos:] given their prefixes; (n,)."""
+    """Per-token log-probs of tokens[from_pos:] given their prefixes; (n,).
+    Differentiable under a recording tape; otherwise the logits come from
+    the tape-free prefill, which computes the same bits."""
     tokens = np.asarray(tokens, dtype=np.int64)
     n = len(tokens)
     if not (1 <= from_pos < n):
         raise ValueError(f"from_pos {from_pos} outside [1, {n})")
-    logits = T.narrow(forward(ckpt, tokens), 0, from_pos - 1, n - from_pos)
+    taped = T._current_graph() is not None
+    logits = forward(ckpt, tokens) if taped else Tensor(prefill(ckpt, tokens)[0])
+    logits = T.narrow(logits, 0, from_pos - 1, n - from_pos)
     return T.sum_(T.target_logprobs(logits, tokens[from_pos:]), axis=1)
 
 

@@ -276,6 +276,58 @@ def test_exit_4_on_numeric_blowup(workdir, capsys):
     assert capsys.readouterr().err.startswith("forge: numeric-error:")
 
 
+def test_exit_4_prints_one_stderr_line_from_the_module(workdir):
+    # pytest's warnings plugin hides numpy RuntimeWarnings in-process, so
+    # only a child process shows what a user sees on stderr
+    import os
+
+    cfg = sft_config(steps=5)
+    cfg["schedule"]["peak_lr"] = 1e8
+    cfg["schedule"]["warmup_steps"] = 0
+    p = write_json(workdir / "c.json", cfg)
+    env = {k: v for k, v in os.environ.items() if not k.startswith("FORGE_")}
+    r = subprocess.run(
+        [sys.executable, "-m", "forge.cli", "train-sft", "--config", str(p)],
+        capture_output=True, text=True, env=env,
+    )
+    assert r.returncode == 4
+    assert r.stderr.startswith("forge: numeric-error:") and r.stderr.count("\n") == 1, r.stderr
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("tokstats", {"tokenizer": "tok.json", "texts": ["ok.txt", "bad.txt"]}),
+    ("scrub", {"inputs": ["ok.txt", "bad.txt"]}),
+])
+def test_exit_3_on_non_utf8_text(workdir, capsys, command, cfg):
+    (workdir / "ok.txt").write_text("ala ma kota\n", encoding="utf-8")
+    (workdir / "bad.txt").write_bytes(b"\xff\xfeala")
+    p = write_json(workdir / "c.json", cfg)
+    assert run(command, p, environ={}) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("forge: data-error:") and "bad.txt" in err and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("out_dir,report", [
+    ("same", "same"),
+    ("out/clean", "out"),  # the report would be a file where the directory is
+    ("clean", "clean/report.tsv"),  # the report would sit among the scrubbed files
+])
+def test_exit_2_when_scrub_outputs_overlap(workdir, capsys, out_dir, report):
+    (workdir / "ok.txt").write_text("ala ma kota\n", encoding="utf-8")
+    p = write_json(workdir / "c.json", {"inputs": ["ok.txt"], "out_dir": out_dir, "report": report})
+    assert run("scrub", p, environ={}) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("forge: config-error: report:") and err.count("\n") == 1, err
+    assert not (workdir / out_dir).exists()
+
+
+def test_exit_2_when_two_outputs_share_a_name(workdir, capsys):
+    p = write_json(workdir / "c.json", sft_config(output="run.out", log="run.out"))
+    assert run("train-sft", p, environ={}) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("forge: config-error: log:") and err.count("\n") == 1, err
+
+
 def test_exit_0_prints_no_stderr(workdir, capsys):
     p = write_json(workdir / "up.json", {"checkpoint": "base.ckpt", "m": 0})
     assert run("upscale", p, environ={}) == 0
