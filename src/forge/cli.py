@@ -315,14 +315,22 @@ def _cross_checks(cfg: dict, user_set) -> None:
             sched["warmup_steps"] = sched["total_steps"]
 
 
-def _check_outputs_apart(cfg: dict, schema: dict) -> None:
-    """No output may name another output's path or a directory above it."""
-    named = [(key, Path(cfg[key])) for key, spec in schema.items()
-             if not isinstance(spec, dict) and spec[1].output and cfg[key] is not None]
-    for i, (a, pa) in enumerate(named):
-        for b, pb in named[i + 1:]:
+def _manifest_name(command: str) -> str:
+    """File the run manifest is written to, last, in the output directory."""
+    return f"{command.replace('-', '_')}_manifest.json"
+
+
+def _check_outputs_apart(command: str, cfg: dict, schema: dict) -> None:
+    """No output may name another output's path, the run manifest's, or a
+    directory above either."""
+    named = [("the run manifest", _manifest_name(command))] + [
+        (key, cfg[key]) for key, spec in schema.items()
+        if not isinstance(spec, dict) and spec[1].output and cfg[key] is not None]
+    for i, (a, va) in enumerate(named):
+        for b, vb in named[i + 1:]:
+            pa, pb = Path(va), Path(vb)
             if pa == pb or pa in pb.parents or pb in pa.parents:
-                raise ConfigError(f"{b}: {cfg[b]!r} overlaps {a} {cfg[a]!r}")
+                raise ConfigError(f"{b}: {vb!r} overlaps {a} {va!r}")
 
 
 def validate_config(command: str, config_path, seed_override=None, environ=None) -> dict:
@@ -341,7 +349,7 @@ def validate_config(command: str, config_path, seed_override=None, environ=None)
     if seed_override is not None:
         cfg["seed"] = seed_override
     _check_leaves(cfg, SCHEMAS[command], config_path.parent)
-    _check_outputs_apart(cfg, SCHEMAS[command])
+    _check_outputs_apart(command, cfg, SCHEMAS[command])
     _cross_checks(cfg, user_set)
     return cfg
 
@@ -412,7 +420,7 @@ class RunContext:
                 "python": platform.python_version(),
             },
         }
-        path = self.out_dir / f"{self.command.replace('-', '_')}_manifest.json"
+        path = self.out_dir / _manifest_name(self.command)
         path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
@@ -551,11 +559,18 @@ def cmd_tokstats(ctx: RunContext) -> None:
 
 
 def cmd_scrub(ctx: RunContext) -> None:
+    inputs = ctx.cfg["inputs"]
+    names = [Path(rel).name for rel in inputs]
+    for i, name in enumerate(names):
+        if name in names[:i]:  # both would be written to out_dir/<name>
+            first = names.index(name)
+            raise ConfigError(
+                f"inputs[{i}]: {inputs[i]!r} has the file name of inputs[{first}] {inputs[first]!r}"
+            )
     lines = ["file\tcategory\tcount"]
-    for rel in ctx.cfg["inputs"]:
+    for rel, name in zip(inputs, names):
         text = _read_text(ctx.inp(rel))
         redacted, report = scrub(text)
-        name = Path(rel).name
         ctx.out(Path(ctx.cfg["out_dir"]) / name).write_text(redacted, encoding="utf-8")
         for cat in sorted(report.counts):
             lines.append(f"{name}\t{cat}\t{report.counts[cat]}")

@@ -19,6 +19,22 @@ DEFAULT_RESERVED_SPECIALS = 128
 CHAT_SPECIALS = ["<|system|>", "<|user|>", "<|assistant|>", "<|tool|>", "<|end|>"]
 
 
+def _merge_pair(ids: list[int], pair: tuple[int, int], merged_id: int) -> list[int]:
+    """ids with each (left, right) occurrence, matched left to right without
+    overlap, replaced by merged_id."""
+    left, right = pair
+    out = []
+    i = 0
+    while i < len(ids):
+        if i + 1 < len(ids) and ids[i] == left and ids[i + 1] == right:
+            out.append(merged_id)
+            i += 2
+        else:
+            out.append(ids[i])
+            i += 1
+    return out
+
+
 @dataclass
 class TokenizerModel:
     """Merge table plus special-token allocation.
@@ -82,18 +98,7 @@ class TokenizerModel:
                     best_rank = r
             if best_rank is None:
                 return ids
-            left, right = self.merges[best_rank]
-            merged_id = N_BYTE_TOKENS + best_rank
-            out = []
-            i = 0
-            while i < len(ids):
-                if i + 1 < len(ids) and ids[i] == left and ids[i + 1] == right:
-                    out.append(merged_id)
-                    i += 2
-                else:
-                    out.append(ids[i])
-                    i += 1
-            ids = out
+            ids = _merge_pair(ids, self.merges[best_rank], N_BYTE_TOKENS + best_rank)
 
     def decode(self, ids) -> str:
         """Inverse of encode; special ids render as their names.
@@ -135,22 +140,8 @@ def train_bpe(texts, n_merges: int) -> list[tuple[int, int]]:
         best = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
         if counts[best] < 2:
             break
-        merged_id = N_BYTE_TOKENS + rank
         merges.append(best)
-        left, right = best
-        next_seqs = []
-        for seq in seqs:
-            out = []
-            i = 0
-            while i < len(seq):
-                if i + 1 < len(seq) and seq[i] == left and seq[i + 1] == right:
-                    out.append(merged_id)
-                    i += 2
-                else:
-                    out.append(seq[i])
-                    i += 1
-            next_seqs.append(out)
-        seqs = next_seqs
+        seqs = [_merge_pair(seq, best, N_BYTE_TOKENS + rank) for seq in seqs]
     return merges
 
 

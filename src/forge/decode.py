@@ -4,10 +4,10 @@
 rotated keys and values; ``step`` then feeds one token at a time, attending
 over the cache instead of re-running the whole prefix. Both work on plain
 numpy arrays (no tape, no ``Tensor`` wrappers) and mirror ``model.forward``
-op for op, scalar casts and mask included, so ``prefill`` logits are
-bit-identical to ``forward`` on a causal sequence. ``step`` logits agree with
-the last row of ``forward`` to float rounding only: a one-row matmul may take
-a different BLAS kernel than the full-sequence one.
+op for op (scalar casts, mask, and the rotation kernel of ``rotate_pairs``),
+so ``prefill`` logits are bit-identical to ``forward`` on a causal sequence.
+``step`` logits agree with the last row of ``forward`` to float rounding only:
+a one-row matmul may take a different BLAS kernel than the full-sequence one.
 
 ``decode`` is the one decoding loop: GRPO temperature sampling and greedy
 evaluation differ only in how they choose a token from the logits.
@@ -28,7 +28,7 @@ from .model import (
     neg_inf_for,
     rope_frequencies,
 )
-from .tensor import _stable_sigmoid
+from .tensor import _rotate_pairs, _stable_sigmoid
 
 
 @dataclass
@@ -47,16 +47,6 @@ def _rms_norm(x: np.ndarray, g: np.ndarray, eps) -> np.ndarray:
     # ndarray.mean is this sum and division behind a Python-level wrapper
     ms = np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1]
     return x / np.sqrt(ms + eps) * g
-
-
-def _rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """Rotate interleaved (even, odd) pairs of x, (heads, T, head_size)."""
-    even = x[..., 0::2]
-    odd = x[..., 1::2]
-    out = np.empty(x.shape, dtype=x.dtype)
-    out[..., 0::2] = even * cos - odd * sin
-    out[..., 1::2] = even * sin + odd * cos
-    return out
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -82,8 +72,8 @@ def _run(ckpt: Checkpoint, tokens: np.ndarray, positions, cache: KVCache, mask) 
     for i in range(cfg.n_layers):
         lw = {k: p[f"layers.{i}.{k}"].data for k in _LAYER_SHAPES}
         h = _rms_norm(x, lw["attn_norm.g"], eps)
-        q = _rope((h @ lw["attn.wq"]).reshape(t_len, nh, hs).transpose(1, 0, 2), cos, sin)
-        k = _rope((h @ lw["attn.wk"]).reshape(t_len, nkv, hs).transpose(1, 0, 2), cos, sin)
+        q = _rotate_pairs((h @ lw["attn.wq"]).reshape(t_len, nh, hs).transpose(1, 0, 2), cos, sin)
+        k = _rotate_pairs((h @ lw["attn.wk"]).reshape(t_len, nkv, hs).transpose(1, 0, 2), cos, sin)
         v = (h @ lw["attn.wv"]).reshape(t_len, nkv, hs).transpose(1, 0, 2)
         if i < len(cache.keys):
             k = cache.keys[i] = np.concatenate([cache.keys[i], k], axis=1)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -283,20 +284,43 @@ def load_task_items(path) -> tuple:
     return tuple(read_records(path, lambda item: item, "task item"))
 
 
+def _is_int(v) -> bool:
+    return type(v) is int  # a bool is an int subclass, not a count
+
+
+_ENTRY_FIELDS = {
+    "name": ("a string", lambda v: isinstance(v, str)),
+    "file": ("a string", lambda v: isinstance(v, str)),
+    "mode": ("a string", lambda v: isinstance(v, str)),
+    "metric": ("a string", lambda v: isinstance(v, str)),
+    "n_shot": ("an int", _is_int),
+    "max_new": ("an int", _is_int),
+    "baseline": ("a finite number", lambda v: type(v) in (int, float) and math.isfinite(v)),
+    "stop": ("a list of ints", lambda v: isinstance(v, list) and all(map(_is_int, v))),
+}
+
+
 def load_suite(manifest_path) -> list[Task]:
     """Tasks from a manifest {tasks: [{name, file, mode, metric, ...}]};
     item files resolve relative to the manifest."""
     manifest_path = Path(manifest_path)
     with open(manifest_path, encoding="utf-8") as f:
         manifest = json.load(f)
-    entries = manifest.get("tasks")
+    entries = manifest.get("tasks") if isinstance(manifest, dict) else None
     if not isinstance(entries, list) or not entries:
         raise ValueError(f"{manifest_path}: manifest needs a non-empty tasks list")
     tasks = []
     for entry in entries:
+        if not isinstance(entry, dict):
+            raise ValueError(f"{manifest_path}: task entry is not an object: {entry!r}")
         for key in ("name", "file", "mode", "metric"):
             if key not in entry:
                 raise ValueError(f"{manifest_path}: task entry missing {key!r}")
+        for key, (expected, ok) in _ENTRY_FIELDS.items():
+            if key in entry and not ok(entry[key]):
+                raise ValueError(
+                    f"{manifest_path}: task {entry['name']!r}: {key} must be {expected}, got {entry[key]!r}"
+                )
         items = load_task_items(manifest_path.parent / entry["file"])
         tasks.append(
             Task(

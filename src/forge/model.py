@@ -1,11 +1,13 @@
-"""Decoder-only transformer: RMSNorm, SwiGLU, RoPE (with long-context
-frequency interpolation), grouped-query attention, pre-norm residual stack.
+"""Decoder-only transformer: RMSNorm, SwiGLU, RoPE (the ``tensor.rotate_pairs``
+primitive, with long-context frequency interpolation), grouped-query
+attention, pre-norm residual stack.
 
 All functions are pure over a parameter dict so the same code path serves
 training (under a tape) and evaluation (tape-free). Shapes are per-sequence:
 ``forward`` maps T token ids to a T x vocab logit matrix; batching is a loop
 at the call site. Sampling and greedy generation do not call ``forward`` per
-token: ``forge.decode`` mirrors it in plain numpy with a key/value cache.
+token: ``forge.decode`` mirrors it in plain numpy with a key/value cache,
+rotating with the same kernel.
 """
 
 from __future__ import annotations
@@ -254,22 +256,8 @@ def apply_rope(q: Tensor, k: Tensor, tables: RopeTables) -> tuple[Tensor, Tensor
             raise T.ShapeError(
                 f"apply_rope: tensor shape {t.shape} vs tables {tables.cos.shape}"
             )
-    dtype = q.dtype
-    cos = tables.cos.astype(dtype)
-    sin = tables.sin.astype(dtype)
-
-    def rotate(x: Tensor) -> Tensor:
-        even = x[..., 0::2]
-        odd = x[..., 1::2]
-        r_even = even * cos - odd * sin
-        r_odd = even * sin + odd * cos
-        # interleave back: (..., half, 2) -> (..., 2*half)
-        stacked = T.concat(
-            [r_even.reshape(*r_even.shape, 1), r_odd.reshape(*r_odd.shape, 1)], axis=-1
-        )
-        return stacked.reshape(*x.shape)
-
-    return rotate(q), rotate(k)
+    cos, sin = tables.cos.astype(q.dtype), tables.sin.astype(q.dtype)
+    return T.rotate_pairs(q, cos, sin), T.rotate_pairs(k, cos, sin)
 
 
 def neg_inf_for(dtype) -> float:

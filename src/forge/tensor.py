@@ -446,9 +446,10 @@ def where(cond, a, b) -> Tensor:
             f"where: shapes {mask.shape}, {a.shape}, {b.shape} do not broadcast"
         ) from None
     zero = out.dtype.type(0)
+    # capture shapes, not a and b: a recorded Tensor holds its Graph, which holds this
     return _make("where", out, [
-        (a, lambda g: _unbroadcast(np.where(mask, g, zero), a.shape)),
-        (b, lambda g: _unbroadcast(np.where(mask, zero, g), b.shape)),
+        (a, lambda g, sa=a.shape: _unbroadcast(np.where(mask, g, zero), sa)),
+        (b, lambda g, sb=b.shape: _unbroadcast(np.where(mask, zero, g), sb)),
     ])
 
 
@@ -594,6 +595,27 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     key = [slice(None)] * a.ndim
     key[axis] = slice(start, start + length)
     return slice_(a, tuple(key))
+
+
+def _rotate_pairs(x: np.ndarray, cos: np.ndarray, sin: np.ndarray, dtype=None) -> np.ndarray:
+    """Rotate interleaved (even, odd) pairs of x's last axis by angles whose
+    cos and sin broadcast against (..., half), into a C-ordered array (matmul
+    bits depend on operand layout) of ``dtype``, x's by default."""
+    even, odd = x[..., 0::2], x[..., 1::2]
+    out = np.empty(x.shape, dtype=x.dtype if dtype is None else dtype)
+    out[..., 0::2] = even * cos - odd * sin
+    out[..., 1::2] = even * sin + odd * cos
+    return out
+
+
+def rotate_pairs(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
+    """Rotary embedding of x's interleaved channel pairs. The VJP rotates
+    back (-sin) into x's dtype, and closes over no Tensor."""
+    x = _as_tensor(x)
+    dtype, neg_sin = x.data.dtype, -sin
+    return _make("rotate_pairs", _rotate_pairs(x.data, cos, sin), [
+        (x, lambda g: _rotate_pairs(g, cos, neg_sin, dtype)),
+    ])
 
 
 def embedding(weight: Tensor, ids) -> Tensor:

@@ -321,6 +321,28 @@ def test_exit_2_when_scrub_outputs_overlap(workdir, capsys, out_dir, report):
     assert not (workdir / out_dir).exists()
 
 
+@pytest.mark.parametrize("key", ["report", "out_dir"])
+def test_exit_2_when_an_output_takes_the_manifest_name(workdir, capsys, key):
+    (workdir / "ok.txt").write_text("ala ma kota\n", encoding="utf-8")
+    p = write_json(workdir / "c.json", {"inputs": ["ok.txt"], key: "scrub_manifest.json"})
+    assert run("scrub", p, environ={}) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"forge: config-error: {key}:") and err.count("\n") == 1, err
+    assert not (workdir / "scrub_manifest.json").exists()
+
+
+def test_exit_2_when_scrub_inputs_share_a_file_name(workdir, capsys):
+    for sub in ("a", "b"):
+        (workdir / sub).mkdir()
+        (workdir / sub / "x.txt").write_text(f"{sub} pisze na a@b.pl\n", encoding="utf-8")
+    (workdir / "ok.txt").write_text("ala ma kota\n", encoding="utf-8")
+    p = write_json(workdir / "c.json", {"inputs": ["ok.txt", "a/x.txt", "b/x.txt"]})
+    assert run("scrub", p, environ={}) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("forge: config-error: inputs[2]: 'b/x.txt'") and err.count("\n") == 1, err
+    assert not (workdir / "scrubbed").exists()
+
+
 def test_exit_2_when_two_outputs_share_a_name(workdir, capsys):
     p = write_json(workdir / "c.json", sft_config(output="run.out", log="run.out"))
     assert run("train-sft", p, environ={}) == 2
@@ -506,6 +528,19 @@ def test_eval_writes_report_and_monitor(workdir):
     monitor = (workdir / "monitor.csv").read_text().strip().splitlines()
     assert monitor[0] == "step,arith_ll,arith_gen,average"
     assert monitor[1].startswith("7,")
+
+
+@pytest.mark.parametrize("field,value", [("max_new", "x"), ("baseline", "x"), ("stop", 5)])
+def test_exit_3_on_mistyped_suite_field(workdir, capsys, field, value):
+    make_eval_suite(workdir)
+    suite = json.loads((workdir / "suite.json").read_text())
+    suite["tasks"][1][field] = value
+    write_json(workdir / "suite.json", suite)
+    p = write_json(workdir / "e.json", EVAL_BASE)
+    assert run("eval", p, environ={}) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("forge: data-error: suite: ") and err.count("\n") == 1, err
+    assert "suite.json: task 'arith_gen': " + field in err, err
 
 
 def test_eval_monitor_csv_for_other_tasks_is_data_error(workdir, capsys):

@@ -401,3 +401,11 @@ def test_load_suite_rejects_incomplete_entry(tmp_path):
     manifest.write_text(json.dumps({"tasks": [{"name": "x", "file": "x.jsonl"}]}))
     with pytest.raises(ValueError, match="mode"):
         load_suite(manifest)
+
+
+@pytest.mark.parametrize("manifest", [[], {"tasks": [5]}])
+def test_load_suite_rejects_non_object_manifest_or_entry(tmp_path, manifest):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=r"suite\.json: "):
+        load_suite(path)

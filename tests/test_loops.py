@@ -1,6 +1,7 @@
 """Training-loop tests: scoring helpers, loop mechanics, and the toy
 overfit/learning smoke properties."""
 
+import gc
 import math
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from forge.train.loops import (
     train_grpo,
     train_sft,
 )
+from forge.train.losses import GrpoGroup, PreferenceBatch, dpop_loss, grpo_objective
 from forge.train.schedule import ScheduleSpec
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -116,6 +118,42 @@ def test_token_logprobs_gradient_flows():
     with T.Graph():
         taped = token_logprobs(ckpt32, tokens, from_pos=2).data
     np.testing.assert_array_equal(taped, token_logprobs(ckpt32, tokens, from_pos=2).numpy())
+
+
+def _taped_objective(name, ckpt):
+    tokens = np.array([3, 1, 4, 1, 5, 9, 2, 6], dtype=np.int64)
+    if name == "sft":
+        return sft_batch_loss(ckpt, sft_batches()[0])
+    if name == "dpop":
+        mask = np.arange(len(tokens)) >= 4
+        chosen = response_logprob(ckpt, tokens, mask).reshape(1)
+        rejected = response_logprob(ckpt, tokens[::-1], mask).reshape(1)
+        return dpop_loss(PreferenceBatch(policy_chosen=chosen, policy_rejected=rejected,
+                                         ref_chosen=chosen.data + 0.5, ref_rejected=rejected.data))
+    lp = [token_logprobs(ckpt, tokens, from_pos=4), token_logprobs(ckpt, tokens[::-1], from_pos=4)]
+    return grpo_objective(GrpoGroup(logp_policy=lp, logp_old=[t.data - 0.3 for t in lp],
+                                    logp_ref=[t.data + 0.1 for t in lp], rewards=np.array([1.0, 0.0])))
+
+
+@pytest.mark.parametrize("name", ["sft", "dpop", "grpo"])
+def test_taped_pass_leaves_no_reference_cycle(name):
+    """A micro-batch's tape is freed by reference counting when it goes out
+    of scope, not left for the cyclic collector with all its arrays."""
+    ckpt = fresh_ckpt()
+
+    def one_pass():
+        with T.Graph() as g:
+            loss = _taped_objective(name, ckpt)
+        g.backward(loss)
+        assert g.grad(ckpt.params["lm_head"]) is not None
+
+    gc.collect()
+    gc.disable()
+    try:
+        one_pass()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # --- sft over packed batches ---

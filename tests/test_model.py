@@ -160,6 +160,28 @@ def test_rope_relative_offsets():
     assert worst < 1e-6, f"relative-offset violation: {worst:.2e}"
 
 
+def test_rope_records_one_node_per_tensor():
+    rng = np.random.default_rng(4)
+    q = Tensor(rng.standard_normal((4, 5, 8)), requires_grad=True)
+    k = Tensor(rng.standard_normal((2, 5, 8)), requires_grad=True)
+    with Graph() as g:
+        apply_rope(q, k, rope_frequencies(8, 10000.0, np.arange(5)))
+    assert [n.op for n in g.nodes] == ["leaf", "rotate_pairs", "leaf", "rotate_pairs"]
+
+
+def test_toy_layer_tape_nodes():
+    """Each layer adds at most 55 nodes to forward's tape, its 9 weights included."""
+    def ops(n_layers):
+        cfg = toy_config(n_layers=n_layers, d_model=32, n_heads=4, n_kv_heads=2, head_size=8, d_ff=64)
+        with Graph() as g:
+            forward(init_params(cfg, named_rng(0, "nodes")), np.arange(10))
+        return [n.op for n in g.nodes]
+
+    one, two = ops(1), ops(2)
+    assert two.count("leaf") - one.count("leaf") == 9
+    assert len(two) - len(one) <= 55
+
+
 def test_rope_table_tensor_mismatch():
     q = Tensor(np.zeros((3, 8)))
     tables = rope_frequencies(8, 10000.0, [0, 1])  # only 2 positions

@@ -364,6 +364,59 @@ def test_grad_where():
     check(lambda p: T.where(mask, p["a"], p["b"]).sum(), {"a": a, "b": b})
 
 
+def rotation_tables(rng, t_len, half, dtype=np.float64):
+    angles = rng.uniform(-np.pi, np.pi, (t_len, half))
+    return np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
+
+
+def test_grad_rotate_pairs():
+    rng = np.random.default_rng(19)
+    cos, sin = rotation_tables(rng, 3, 2)
+    x = Tensor(rand(rng, 2, 2, 3, 4), requires_grad=True)
+    w = rand(rng, 2, 2, 3, 4)
+    check(lambda p: (T.rotate_pairs(p["x"], cos, sin) * w).sum(), {"x": x})
+
+
+def interleave_reference(x, cos, sin):
+    """The rotation from composite ops: strided slices, four products and a
+    concat/reshape interleave, as model.apply_rope recorded it before the
+    primitive (13 tape nodes per tensor)."""
+    even = x[..., 0::2]
+    odd = x[..., 1::2]
+    r_even = even * cos - odd * sin
+    r_odd = even * sin + odd * cos
+    stacked = T.concat(
+        [r_even.reshape(*r_even.shape, 1), r_odd.reshape(*r_odd.shape, 1)], axis=-1
+    )
+    return stacked.reshape(*x.shape)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rotate_pairs_matches_interleave_reference(dtype):
+    rng = np.random.default_rng(20)
+    cos, sin = rotation_tables(rng, 5, 4, dtype)
+    x0 = rng.standard_normal((3, 5, 8)).astype(dtype)
+    w = rng.standard_normal((3, 5, 8)).astype(dtype)
+
+    def run(rotate):
+        x = Tensor(x0.copy(), requires_grad=True)
+        with Graph() as g:
+            y = rotate(x, cos, sin)
+            loss = (y.log_softmax(-1) * w).sum()
+        g.backward(loss)
+        return y.data, g.grad(y), g.grad(x)
+
+    y_ref, gy_ref, gx_ref = run(interleave_reference)
+    y, gy, gx = run(T.rotate_pairs)
+    # max_'s VJP divides by an int64 tie count, so the upstream gradient is
+    # float64 even for a float32 input; the input gradient keeps x's dtype
+    assert gy.dtype == gy_ref.dtype == np.float64
+    assert y.dtype == y_ref.dtype == dtype and y.flags.c_contiguous
+    np.testing.assert_array_equal(y, y_ref)
+    assert gx.dtype == gx_ref.dtype == dtype
+    np.testing.assert_array_equal(gx, gx_ref)
+
+
 @pytest.mark.parametrize("composite", ["softmax", "log_softmax"])
 def test_grad_softmax_composites(composite):
     rng = np.random.default_rng(18)
