@@ -42,6 +42,11 @@ class KVCache:
     def length(self) -> int:
         return self.keys[0].shape[1]
 
+    def copy(self) -> "KVCache":
+        """A cache to extend without touching this one. Shallow: ``_run``
+        replaces list entries and never writes into the cached arrays."""
+        return KVCache(keys=list(self.keys), values=list(self.values))
+
 
 def _rms_norm(x: np.ndarray, g: np.ndarray, eps) -> np.ndarray:
     # ndarray.mean is this sum and division behind a Python-level wrapper
@@ -109,11 +114,14 @@ def step(ckpt: Checkpoint, token: int, cache: KVCache) -> np.ndarray:
     return _run(ckpt, tokens, [cache.length], cache, None)[0]
 
 
-def decode(ckpt: Checkpoint, prompt, max_new: int, choose, stop=()) -> list[int]:
+def decode(ckpt: Checkpoint, prompt, max_new: int, choose, stop=(), prefilled=None) -> list[int]:
     """Up to ``max_new`` tokens after ``prompt``, each ``choose(logits)`` of the
-    last position; a chosen token in ``stop`` ends the output and stays in it."""
+    last position; a chosen token in ``stop`` ends the output and stays in it.
+    ``prefilled`` is ``prefill(ckpt, prompt)`` when the caller already has it:
+    several decodes can start from one prefill, since each extends a copy."""
     stop = {int(s) for s in stop}
-    logits, cache = prefill(ckpt, prompt)
+    logits, cache = prefill(ckpt, prompt) if prefilled is None else prefilled
+    cache = cache.copy()
     last = logits[-1]
     out: list[int] = []
     for n in range(max_new):

@@ -3,11 +3,14 @@ primitive, with long-context frequency interpolation), grouped-query
 attention, pre-norm residual stack.
 
 All functions are pure over a parameter dict so the same code path serves
-training (under a tape) and evaluation (tape-free). Shapes are per-sequence:
-``forward`` maps T token ids to a T x vocab logit matrix; batching is a loop
-at the call site. Sampling and greedy generation do not call ``forward`` per
-token: ``forge.decode`` mirrors it in plain numpy with a key/value cache,
-rotating with the same kernel.
+training (under a tape) and evaluation (tape-free). ``forward`` maps T token
+ids to a T x vocab logit matrix, or a group of sequences (a GRPO group's
+rollouts, a DPO pair) to their rows of logits in one pass: the layers work
+on a flat block of rows (``tensor.RowBlock``) whose equal-length sequences
+are stacked on a batch axis for the matmuls and attention, and the result
+is bit-identical to a pass per sequence. Sampling and greedy generation do
+not call ``forward`` per token: ``forge.decode`` mirrors it in plain numpy
+with a key/value cache, rotating with the same kernel.
 """
 
 from __future__ import annotations
@@ -161,17 +164,21 @@ def validate_checkpoint(ckpt: Checkpoint) -> None:
 # -- architectural pieces -------------------------------------------------------
 
 
-def rms_norm(x: Tensor, g: Tensor, eps: float) -> Tensor:
-    """y = x / sqrt(mean(x^2) + eps) * g, mean over the last dimension."""
+def rms_norm(x: Tensor, g: Tensor, eps: float, block: T.RowBlock | None = None) -> Tensor:
+    """y = x / sqrt(mean(x^2) + eps) * g, mean over the last dimension; x
+    holds the rows of ``block`` (by default one sequence)."""
     if x.shape[-1] != g.shape[-1] or g.ndim != 1:
         raise T.ShapeError(f"rms_norm: feature dim {x.shape[-1]} vs gain shape {g.shape}")
     ms = (x * x).mean(axis=-1, keepdims=True)
-    return x / (ms + eps).sqrt() * g
+    return T.mul_gain(x / (ms + eps).sqrt(), g, block)
 
 
-def swiglu_ffn(x: Tensor, w_gate: Tensor, w_up: Tensor, w_down: Tensor) -> Tensor:
-    """(silu(x W_gate) * (x W_up)) W_down."""
-    return ((x @ w_gate).silu() * (x @ w_up)) @ w_down
+def swiglu_ffn(x: Tensor, w_gate: Tensor, w_up: Tensor, w_down: Tensor,
+               block: T.RowBlock | None = None) -> Tensor:
+    """(silu(x W_gate) * (x W_up)) W_down over the rows of ``block`` (by
+    default one sequence)."""
+    gate = T.block_matmul(x, w_gate, block)
+    return T.block_matmul(gate.silu() * T.block_matmul(x, w_up, block), w_down, block)
 
 
 @dataclass
@@ -248,11 +255,12 @@ def rope_frequencies(
 def apply_rope(q: Tensor, k: Tensor, tables: RopeTables) -> tuple[Tensor, Tensor]:
     """Rotate interleaved (even, odd) channel pairs of q and k by position.
 
-    q and k have shape (..., T, head_size); tables cover exactly T positions.
+    q and k have shape (..., T, head_size); tables cover exactly T positions,
+    as (T, head_size/2) or with leading axes that broadcast against q's.
     """
     half = tables.cos.shape[-1]
     for t in (q, k):
-        if t.shape[-1] != 2 * half or t.shape[-2] != tables.cos.shape[0]:
+        if t.shape[-1] != 2 * half or t.shape[-2] != tables.cos.shape[-2]:
             raise T.ShapeError(
                 f"apply_rope: tensor shape {t.shape} vs tables {tables.cos.shape}"
             )
@@ -268,44 +276,63 @@ def neg_inf_for(dtype) -> float:
 def gqa_attention(
     x: Tensor,
     weights: dict[str, Tensor],
-    mask: np.ndarray,
+    mask,
     config: ModelConfig,
-    tables: RopeTables | None = None,
+    tables=None,
+    block: T.RowBlock | None = None,
 ) -> Tensor:
-    """Grouped-query attention over one sequence.
+    """Grouped-query attention within each sequence of a block.
 
-    x: (T, d_model); weights holds wq/wk/wv/wo; mask is a (T, T) boolean
-    where True marks attendable (key) positions and must never allow a
-    future position. Each KV head serves n_heads/n_kv_heads query heads.
-    Scores are scaled by mscale^2 / sqrt(head_size).
+    x: (N, d_model), the rows ``block`` lays out (by default one sequence of
+    N rows); weights holds wq/wk/wv/wo. Without a block, mask is a (T, T)
+    boolean and tables a ``RopeTables`` (or None); with one, each is a list
+    holding one entry per bucket, the mask (T, T) or (count, 1, 1, T, T)
+    and the tables' cos/sin (T, half) or (count, 1, T, half). True marks
+    attendable (key) positions, never a future one. Each KV head serves
+    n_heads/n_kv_heads query heads, and scores are scaled by
+    mscale^2 / sqrt(head_size). The projections run over the whole block;
+    scores, softmax and the value product run per bucket, never over
+    padding or across sequences.
     """
-    t_len, d = x.shape
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (t_len, t_len):
-        raise T.ShapeError(f"gqa_attention: mask shape {mask.shape}, expected {(t_len, t_len)}")
-    if np.any(np.triu(mask, k=1)):
-        raise ValueError("gqa_attention: mask allows attention to a future position")
+    if block is None:
+        block, mask, tables = T.RowBlock([x.shape[0]]), [mask], [tables]
     hs, nh, nkv = config.head_size, config.n_heads, config.n_kv_heads
     group = config.group_size
+    n_rows = x.shape[0]
+    q_all = T.block_matmul(x, weights["attn.wq"], block)
+    k_all = T.block_matmul(x, weights["attn.wk"], block)
+    v_all = T.block_matmul(x, weights["attn.wv"], block)
 
-    q = (x @ weights["attn.wq"]).reshape(t_len, nh, hs).transpose(1, 0, 2)
-    k = (x @ weights["attn.wk"]).reshape(t_len, nkv, hs).transpose(1, 0, 2)
-    v = (x @ weights["attn.wv"]).reshape(t_len, nkv, hs).transpose(1, 0, 2)
+    outs = []
+    for (start, count, t_len), bucket_mask, bucket_tables in zip(block.buckets, mask, tables):
+        bucket_mask = np.asarray(bucket_mask, dtype=bool)
+        if bucket_mask.shape[-2:] != (t_len, t_len):
+            raise T.ShapeError(f"gqa_attention: mask shape {bucket_mask.shape}, expected {(t_len, t_len)}")
+        if np.any(np.triu(bucket_mask, k=1)):
+            raise ValueError("gqa_attention: mask allows attention to a future position")
 
-    mscale = 1.0
-    if tables is not None:
-        q, k = apply_rope(q, k, tables)
-        mscale = tables.mscale
+        def heads(t: Tensor, n: int) -> Tensor:
+            # (count, n, T, hs): this bucket's rows, split into heads
+            if count * t_len != n_rows:
+                t = T.take_rows(t, slice(start, start + count * t_len))
+            return t.reshape(count, t_len, n, hs).transpose(0, 2, 1, 3)
 
-    # group query heads over their shared KV head: (nkv, group, T, hs)
-    q = q.reshape(nkv, group, t_len, hs)
-    k_t = k.reshape(nkv, 1, t_len, hs).transpose(0, 1, 3, 2)
-    scores = (q @ k_t) * (mscale * mscale / math.sqrt(hs))
-    scores = T.where(mask, scores, Tensor(np.full_like(scores.data, neg_inf_for(scores.dtype))))
-    attn = scores.softmax(axis=-1)
-    out = attn @ v.reshape(nkv, 1, t_len, hs)  # (nkv, group, T, hs)
-    out = out.transpose(2, 0, 1, 3).reshape(t_len, nh * hs)
-    return out @ weights["attn.wo"]
+        q, k, v = heads(q_all, nh), heads(k_all, nkv), heads(v_all, nkv)
+        mscale = 1.0
+        if bucket_tables is not None:
+            q, k = apply_rope(q, k, bucket_tables)
+            mscale = bucket_tables.mscale
+
+        # group query heads over their shared KV head: (count, nkv, group, T, hs)
+        q = q.reshape(count, nkv, group, t_len, hs)
+        k_t = k.reshape(count, nkv, 1, t_len, hs).transpose(0, 1, 2, 4, 3)
+        scores = (q @ k_t) * (mscale * mscale / math.sqrt(hs))
+        scores = T.where(bucket_mask, scores, Tensor(np.full_like(scores.data, neg_inf_for(scores.dtype))))
+        attn = scores.softmax(axis=-1)
+        out = attn @ v.reshape(count, nkv, 1, t_len, hs)  # (count, nkv, group, T, hs)
+        outs.append(out.transpose(0, 3, 1, 2, 4).reshape(count * t_len, nh * hs))
+    out = outs[0] if len(outs) == 1 else T.concat(outs, axis=0)
+    return T.block_matmul(out, weights["attn.wo"], block)
 
 
 def build_attention_mask(segment_ids: np.ndarray, dtype=bool) -> np.ndarray:
@@ -325,6 +352,12 @@ def check_token_ids(tokens, vocab_size: int) -> np.ndarray:
     return tokens
 
 
+def is_group(tokens) -> bool:
+    """Whether ``tokens`` is a group (a list or tuple of id sequences) rather
+    than one id sequence."""
+    return isinstance(tokens, (list, tuple)) and len(tokens) > 0 and np.ndim(tokens[0]) > 0
+
+
 def forward(
     ckpt: Checkpoint,
     tokens,
@@ -332,29 +365,56 @@ def forward(
     positions=None,
     yarn: YarnParams | None = None,
 ) -> Tensor:
-    """Logits (T, vocab) for one token sequence.
+    """Logits (T, vocab) for one token sequence, or for a group of them (see
+    ``is_group``) the rows of every sequence's logits, one sequence after
+    another in the given order: (sum of T, vocab).
 
-    Pre-norm residual stack: x += attn(norm(x)); x += ffn(norm(x)).
-    The attention mask combines causality with segment equality, so packed
-    sequences never attend across sample boundaries.
+    segment_ids and positions take the form of ``tokens``: for a group, a
+    list with one entry (or None) per sequence. Pre-norm residual stack:
+    x += attn(norm(x)); x += ffn(norm(x)). The attention mask combines
+    causality with segment equality, so packed sequences never attend
+    across sample boundaries.
+
+    A group runs as one pass, bit-identical per sequence to a pass of each
+    alone. Its rows sit in one block sorted stably by length (``RowBlock``):
+    row-wise ops run once over the block, matmuls and the attention core
+    once per bucket of equal-length sequences, and each parameter gradient
+    adds its per-sequence parts in reverse sequence order, as separate
+    passes on one tape would. One sequence is the group of one.
     """
     cfg = ckpt.config
-    tokens = check_token_ids(tokens, cfg.vocab_size)
-    t_len = len(tokens)
-    if segment_ids is None:
-        segment_ids = np.zeros(t_len, dtype=np.int64)
-    if positions is None:
-        positions = np.arange(t_len)
-    mask = build_attention_mask(segment_ids)
-    tables = rope_frequencies(cfg.head_size, cfg.rope_theta, positions, yarn)
+    group = is_group(tokens)
+    seqs = [check_token_ids(t, cfg.vocab_size) for t in (tokens if group else [tokens])]
+    segs = (segment_ids if group else [segment_ids]) if segment_ids is not None else [None] * len(seqs)
+    poss = (positions if group else [positions]) if positions is not None else [None] * len(seqs)
+    if not (len(segs) == len(poss) == len(seqs)):
+        raise ValueError("forward: segment_ids and positions need one entry per sequence")
+    block = T.RowBlock([len(s) for s in seqs])
+    order = block.order
+    seg_rows = np.concatenate([
+        np.zeros(len(seqs[i]), dtype=np.int64) if segs[i] is None else np.asarray(segs[i]) for i in order
+    ])
+    rope = rope_frequencies(cfg.head_size, cfg.rope_theta, np.concatenate([
+        np.arange(len(seqs[i])) if poss[i] is None else np.asarray(poss[i]) for i in order
+    ]), yarn)
+    half = cfg.head_size // 2
+    masks, tables = [], []
+    for start, count, t_len in block.buckets:
+        rows = slice(start, start + count * t_len)
+        masks.append(np.stack([build_attention_mask(seg) for seg in seg_rows[rows].reshape(count, t_len)])[:, None, None])
+        tables.append(RopeTables(cos=rope.cos[rows].reshape(count, 1, t_len, half),
+                                 sin=rope.sin[rows].reshape(count, 1, t_len, half), mscale=rope.mscale))
 
     p = ckpt.params
-    x = T.embedding(p["embed.tok"], tokens)
+    x = T.embedding(p["embed.tok"], np.concatenate([seqs[i] for i in order]), block)
     for i in range(cfg.n_layers):
         lw = {k: p[f"layers.{i}.{k}"] for k in _LAYER_SHAPES}
-        h = rms_norm(x, lw["attn_norm.g"], cfg.rmsnorm_eps)
-        x = x + gqa_attention(h, lw, mask, cfg, tables)
-        h = rms_norm(x, lw["ffn_norm.g"], cfg.rmsnorm_eps)
-        x = x + swiglu_ffn(h, lw["ffn.w_gate"], lw["ffn.w_up"], lw["ffn.w_down"])
-    x = rms_norm(x, p["final_norm.g"], cfg.rmsnorm_eps)
-    return x @ p["lm_head"]
+        h = rms_norm(x, lw["attn_norm.g"], cfg.rmsnorm_eps, block)
+        x = x + gqa_attention(h, lw, masks, cfg, tables, block)
+        h = rms_norm(x, lw["ffn_norm.g"], cfg.rmsnorm_eps, block)
+        x = x + swiglu_ffn(h, lw["ffn.w_gate"], lw["ffn.w_up"], lw["ffn.w_down"], block)
+    x = rms_norm(x, p["final_norm.g"], cfg.rmsnorm_eps, block)
+    logits = T.block_matmul(x, p["lm_head"], block)
+    if order != sorted(order):
+        logits = T.take_rows(logits, np.concatenate([np.arange(a, b) for a, b in block.spans]))
+    return logits

@@ -577,7 +577,8 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 
 def slice_(a: Tensor, key) -> Tensor:
-    """Basic indexing with ints and slices; gradient scatters back."""
+    """Indexing with ints, slices, or an array of distinct row indices;
+    gradient scatters back into zeros of a's dtype."""
     a = _as_tensor(a)
     out = a.data[key]
     shape, dtype = a.shape, a.data.dtype
@@ -588,6 +589,22 @@ def slice_(a: Tensor, key) -> Tensor:
         return full
 
     return _make("slice", out, [(a, vjp)])
+
+
+def take_rows(a: Tensor, rows) -> Tensor:
+    """a[rows] for a slice or an array of distinct row indices. The gradient
+    scatters back into zeros of its own dtype, where ``slice_`` casts it to
+    a's: a float64 upstream gradient stays float64, as it would without the
+    indexing."""
+    a = _as_tensor(a)
+    shape = a.shape
+
+    def vjp(g):
+        full = np.zeros(shape, dtype=g.dtype)
+        full[rows] = g
+        return full
+
+    return _make("take_rows", a.data[rows], [(a, vjp)])
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -618,8 +635,110 @@ def rotate_pairs(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     ])
 
 
-def embedding(weight: Tensor, ids) -> Tensor:
-    """Row-gather by integer id; gradient scatter-adds into the table."""
+# -- groups of sequences in one block of rows ------------------------------------
+
+
+class RowBlock:
+    """Where the sequences of a group sit in one flat block of rows.
+
+    Rows are stored sorted stably by sequence length, so sequences of equal
+    length sit back to back in a bucket that matmuls and attention treat as
+    one stacked ``(count, length, ...)`` batch. Per-row arithmetic then
+    matches a separate pass per sequence bit for bit: a stacked matmul runs
+    the same gemm per item, while one flat gemm over all rows may not.
+    ``spans[i]`` is sequence i's (start, stop) row range, in the order the
+    lengths were given; ``buckets`` holds (start, count, length) per bucket.
+    """
+
+    __slots__ = ("spans", "buckets")
+
+    def __init__(self, lengths):
+        lengths = [int(n) for n in lengths]
+        spans: list = [None] * len(lengths)
+        buckets: list[tuple[int, int, int]] = []
+        start = 0
+        for i in sorted(range(len(lengths)), key=lengths.__getitem__):
+            n = lengths[i]
+            spans[i] = (start, start + n)
+            if buckets and buckets[-1][2] == n:
+                buckets[-1] = (buckets[-1][0], buckets[-1][1] + 1, n)
+            else:
+                buckets.append((start, 1, n))
+            start += n
+        self.spans = tuple(spans)
+        self.buckets = tuple(buckets)
+
+    @property
+    def order(self) -> list[int]:
+        """Sequence indices in the order their rows are stored."""
+        return sorted(range(len(self.spans)), key=lambda i: self.spans[i][0])
+
+
+def _fold_spans(block: RowBlock, part) -> np.ndarray:
+    """Sum of ``part(start, stop)`` over the sequences, added in reverse
+    sequence order: the order in which ``Graph.backward`` adds the
+    contributions of separate per-sequence passes to a shared leaf."""
+    total = None
+    for start, stop in reversed(block.spans):
+        c = part(start, stop)
+        total = c if total is None else total + c
+    return total
+
+
+def _per_bucket(block: RowBlock, rows: np.ndarray, fn) -> np.ndarray:
+    """``fn`` over each bucket's rows viewed as (count, length, width), put
+    back as rows; a block of one bucket is reshaped, never copied."""
+    if len(block.buckets) == 1:
+        _, count, length = block.buckets[0]
+        out = fn(rows.reshape(count, length, rows.shape[-1]))
+        return out.reshape(count * length, out.shape[-1])
+    out = None
+    for start, count, length in block.buckets:
+        part = fn(rows[start:start + count * length].reshape(count, length, rows.shape[-1]))
+        if out is None:
+            out = np.empty((len(rows), part.shape[-1]), dtype=part.dtype)
+        out[start:start + count * length] = part.reshape(count * length, part.shape[-1])
+    return out
+
+
+def block_matmul(x: Tensor, w: Tensor, block: RowBlock | None = None) -> Tensor:
+    """x (rows, k) @ w (k, n), one stacked matmul per bucket of ``block``
+    (by default, one sequence holding every row). w's gradient is each
+    sequence's ``x_iᵀ @ g_i``, added in reverse sequence order."""
+    x, w = _as_tensor(x), _as_tensor(w)
+    _check_dtypes(x, w, "block_matmul")
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeError(f"block_matmul: shapes {x.shape} and {w.shape} do not conform")
+    block = block or RowBlock([x.shape[0]])
+    xd, wd = x.data, w.data
+    return _make("block_matmul", _per_bucket(block, xd, lambda xb: xb @ wd), [
+        (x, lambda g: _per_bucket(block, g, lambda gb: gb @ wd.swapaxes(-1, -2))),
+        (w, lambda g: _fold_spans(block, lambda a, b: xd[a:b].swapaxes(-1, -2) @ g[a:b])),
+    ])
+
+
+def mul_gain(x: Tensor, g: Tensor, block: RowBlock | None = None) -> Tensor:
+    """x * g for x (rows, d) or (d,) and a gain g (d,). g's gradient sums
+    each sequence's rows of ``block`` (by default one sequence holding every
+    row) and adds the sums in reverse sequence order."""
+    x, g = _as_tensor(x), _as_tensor(g)
+    _check_dtypes(x, g, "mul_gain")
+    if g.ndim != 1 or x.shape[-1] != g.shape[0] or x.ndim > 2:
+        raise ShapeError(f"mul_gain: shapes {x.shape} and {g.shape} do not conform")
+    xd, gd = x.data, g.data
+    block = block or RowBlock([1 if xd.ndim == 1 else len(xd)])
+
+    def vjp_gain(go):
+        prod = (go * xd).reshape(-1, gd.shape[0])
+        return _fold_spans(block, lambda a, b: prod[a:b].sum(axis=0))
+
+    return _make("mul_gain", xd * gd, [(x, lambda go: go * gd), (g, vjp_gain)])
+
+
+def embedding(weight: Tensor, ids, block: RowBlock | None = None) -> Tensor:
+    """Row-gather by integer id; gradient scatter-adds into the table, one
+    table per sequence of ``block`` (by default one sequence of every id),
+    added in reverse sequence order."""
     weight = _as_tensor(weight)
     ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() >= weight.shape[0]):
@@ -627,11 +746,15 @@ def embedding(weight: Tensor, ids) -> Tensor:
         raise ShapeError(f"embedding: id {bad} out of range for table of {weight.shape[0]} rows")
     out = weight.data[ids]
     wshape, dtype = weight.shape, weight.data.dtype
+    block = block or RowBlock([len(ids)])
 
     def vjp(g):
-        full = np.zeros(wshape, dtype=dtype)
-        np.add.at(full, ids, g)
-        return full
+        def scatter(a, b):
+            full = np.zeros(wshape, dtype=dtype)
+            np.add.at(full, ids[a:b], g[a:b])
+            return full
+
+        return _fold_spans(block, scatter)
 
     return _make("embedding", out, [(weight, vjp)])
 

@@ -20,7 +20,7 @@ from ..datapipe.chat import ChatSample, build_loss_mask, messages_from, render_c
 from ..datapipe.packing import PackedBatch
 from ..datapipe.records import read_records
 from ..decode import decode, prefill
-from ..model import Checkpoint, forward
+from ..model import Checkpoint, forward, is_group
 from ..rng import named_rng
 from ..tensor import Graph, Tensor
 from ..verifiers import check_truth, verify
@@ -191,18 +191,40 @@ def encode_preference_pairs(pairs, tok) -> list[dict]:
     return out
 
 
-def response_logprob(ckpt: Checkpoint, tokens, response_mask) -> Tensor:
+def _group_target_logprobs(ckpt: Checkpoint, seqs, first: int, masks=None) -> tuple[Tensor, list[int]]:
+    """``T.target_logprobs`` of tokens first.. of every sequence, in one pass
+    over the group, with the number of rows each sequence holds in it."""
+    starts = np.cumsum([0] + [len(s) for s in seqs[:-1]])
+    rows = np.concatenate([np.arange(a + first - 1, a + len(s) - 1) for a, s in zip(starts, seqs)])
+    mask = None if masks is None else np.concatenate([m[first:] for m in masks])
+    picked = T.target_logprobs(forward(ckpt, seqs)[rows], np.concatenate([s[first:] for s in seqs]), mask)
+    return picked, [len(s) - first for s in seqs]
+
+
+def _per_sequence(t: Tensor, counts) -> list[Tensor]:
+    """Consecutive row ranges of t, one per count."""
+    if len(counts) == 1:
+        return [t]
+    starts = np.cumsum([0] + list(counts[:-1]))
+    return [T.narrow(t, 0, int(a), n) for a, n in zip(starts, counts)]
+
+
+def response_logprob(ckpt: Checkpoint, tokens, response_mask):
     """Summed log-prob of the masked tokens given everything before them.
-    Differentiable when called under a recording tape."""
-    tokens = np.asarray(tokens, dtype=np.int64)
-    response_mask = np.asarray(response_mask, dtype=bool)
-    n = len(tokens)
-    if n < 2:
-        raise ValueError("sequence too short to score")
-    if response_mask[0]:
-        raise ValueError("first token has no conditioning prefix")
-    logits = T.narrow(forward(ckpt, tokens), 0, 0, n - 1)
-    return T.sum_(T.target_logprobs(logits, tokens[1:], response_mask[1:]))
+    For a group (lists of sequences and masks, see ``model.is_group``), one
+    such scalar per sequence, from one pass over the group. Differentiable
+    when called under a recording tape."""
+    group = is_group(tokens)
+    seqs = [np.asarray(t, dtype=np.int64) for t in (tokens if group else [tokens])]
+    masks = [np.asarray(m, dtype=bool) for m in (response_mask if group else [response_mask])]
+    for seq, mask in zip(seqs, masks):
+        if len(seq) < 2:
+            raise ValueError("sequence too short to score")
+        if mask[0]:
+            raise ValueError("first token has no conditioning prefix")
+    picked, counts = _group_target_logprobs(ckpt, seqs, 1, masks)
+    sums = [T.sum_(t) for t in _per_sequence(picked, counts)]
+    return sums if group else sums[0]
 
 
 def train_dpo(
@@ -222,17 +244,16 @@ def train_dpo(
         raise ValueError("no preference pairs to train on")
     loss_fn = dpo_loss if variant == "dpo" else dpop_loss
 
-    ref_scores = [
-        (
-            response_logprob(ref_ckpt, e["tokens_chosen"], e["mask_chosen"]).item(),
-            response_logprob(ref_ckpt, e["tokens_rejected"], e["mask_rejected"]).item(),
+    def score_pair(model, enc) -> list[Tensor]:
+        # chosen and rejected as one group
+        return response_logprob(
+            model, [enc["tokens_chosen"], enc["tokens_rejected"]], [enc["mask_chosen"], enc["mask_rejected"]],
         )
-        for e in encoded_pairs
-    ]
+
+    ref_scores = [tuple(lp.item() for lp in score_pair(ref_ckpt, e)) for e in encoded_pairs]
 
     def pair_loss(enc, ref_c, ref_r):
-        pc = response_logprob(ckpt, enc["tokens_chosen"], enc["mask_chosen"])
-        pr = response_logprob(ckpt, enc["tokens_rejected"], enc["mask_rejected"])
+        pc, pr = score_pair(ckpt, enc)
         batch = PreferenceBatch(
             policy_chosen=T.reshape(pc, (1,)),
             policy_rejected=T.reshape(pr, (1,)),
@@ -265,11 +286,12 @@ def load_rl_dataset(path) -> list[dict]:
 
 def sample_response(
     ckpt: Checkpoint, prompt_ids, rng, max_tokens: int, temperature: float,
-    stop_id: int, suppress=(),
+    stop_id: int, suppress=(), prefilled=None,
 ):
     """Temperature sampling until the stop token or the budget. The stop
     token, when drawn, stays in the returned ids so every response has at
-    least one scored action; ids in suppress are never drawn."""
+    least one scored action; ids in suppress are never drawn. ``prefilled``
+    is ``prefill(ckpt, prompt_ids)``, shared by the rollouts of a group."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     suppress = list(suppress)
@@ -283,21 +305,23 @@ def sample_response(
         p /= p.sum()
         return rng.choice(len(p), p=p)
 
-    return decode(ckpt, prompt_ids, max_tokens, draw, stop=(stop_id,))
+    return decode(ckpt, prompt_ids, max_tokens, draw, stop=(stop_id,), prefilled=prefilled)
 
 
-def token_logprobs(ckpt: Checkpoint, tokens, from_pos: int) -> Tensor:
+def token_logprobs(ckpt: Checkpoint, tokens, from_pos: int):
     """Per-token log-probs of tokens[from_pos:] given their prefixes; (n,).
-    Differentiable under a recording tape; otherwise the logits come from
-    the tape-free prefill, which computes the same bits."""
-    tokens = np.asarray(tokens, dtype=np.int64)
-    n = len(tokens)
-    if not (1 <= from_pos < n):
-        raise ValueError(f"from_pos {from_pos} outside [1, {n})")
-    taped = T._current_graph() is not None
-    logits = forward(ckpt, tokens) if taped else Tensor(prefill(ckpt, tokens)[0])
-    logits = T.narrow(logits, 0, from_pos - 1, n - from_pos)
-    return T.sum_(T.target_logprobs(logits, tokens[from_pos:]), axis=1)
+    For a group (a list of sequences sharing from_pos, see
+    ``model.is_group``), one such Tensor per sequence, from one pass over
+    the group. Differentiable under a recording tape; a tape-free call
+    computes the same bits."""
+    group = is_group(tokens)
+    seqs = [np.asarray(t, dtype=np.int64) for t in (tokens if group else [tokens])]
+    for seq in seqs:
+        if not (1 <= from_pos < len(seq)):
+            raise ValueError(f"from_pos {from_pos} outside [1, {len(seq)})")
+    picked, counts = _group_target_logprobs(ckpt, seqs, from_pos)
+    out = _per_sequence(T.sum_(picked, axis=1), counts)
+    return out if group else out[0]
 
 
 def _response_text(tok, response_ids, stop_id: int) -> str:
@@ -344,14 +368,16 @@ def train_grpo(
         prompt_ids = list(render_chat(ChatSample(list(problem["prompt"])), tok).token_ids)
         prompt_ids.append(tok.special_id("<|assistant|>"))
         rng = named_rng(seed, f"grpo/step{step}/slot{slot}")
+        prefilled = prefill(ckpt, prompt_ids)  # once: the rollouts share the prompt
         rollouts, rewards = [], []
         for _ in range(group_size):
-            resp = sample_response(ckpt, prompt_ids, rng, max_tokens, temperature, stop_id, suppress)
+            resp = sample_response(ckpt, prompt_ids, rng, max_tokens, temperature, stop_id, suppress,
+                                   prefilled)
             text = _response_text(tok, resp, stop_id)
             rewards.append(float(verify(problem["verifier"], text, problem["truth"]).reward))
             rollouts.append(prompt_ids + resp)
         # reference scores are tape-free snapshots
-        logp_ref = [token_logprobs(ref_ckpt, seq, len(prompt_ids)).numpy() for seq in rollouts]
+        logp_ref = [lp.numpy() for lp in token_logprobs(ref_ckpt, rollouts, len(prompt_ids))]
         return rollouts, len(prompt_ids), logp_ref, np.array(rewards)
 
     def micro_losses(step):
@@ -360,7 +386,7 @@ def train_grpo(
             rollouts, plen, logp_ref, rewards = build_group(step, slot, problems[k])
 
             def build(rollouts=rollouts, plen=plen, logp_ref=logp_ref, rewards=rewards):
-                logp_policy = [token_logprobs(ckpt, seq, plen) for seq in rollouts]
+                logp_policy = token_logprobs(ckpt, rollouts, plen)
                 logp_old = [lp.data for lp in logp_policy]
                 group = GrpoGroup(
                     logp_policy=logp_policy,

@@ -164,3 +164,38 @@ def test_train_grpo_samples_once_per_rollout(monkeypatch):
     assert len(calls) == steps * prompts_per_step * accum * group_size
     # the benchmark reads the stop id as the sixth positional argument
     assert all(len(args) >= 6 and args[5] == TOK.special_id("<|end|>") for args in calls)
+
+
+def test_train_grpo_prefills_each_prompt_once(monkeypatch):
+    from forge import decode as decode_module
+
+    calls = []
+
+    def counting(original):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(loops, "prefill", counting(loops.prefill))
+    monkeypatch.setattr(decode_module, "prefill", counting(decode_module.prefill))
+    steps, prompts_per_step, accum = 2, 2, 2
+    spec = ScheduleSpec(peak_lr=1e-3, min_lr=1e-3, warmup_steps=0, total_steps=steps, shape="constant")
+    train_grpo(
+        make_ckpt(), make_ckpt(), load_rl_dataset(RL_FIXTURE)[:3], TOK,
+        TrainSettings(spec=spec, steps=steps, accum=accum),
+        group_size=3, max_tokens=4, prompts_per_step=prompts_per_step, seed=3,
+    )
+    assert len(calls) == steps * accum * prompts_per_step
+
+
+def test_rollouts_from_one_prefill_match_their_own_prefills():
+    ckpt = make_ckpt(scale=5.0)
+    prompt = random_tokens(6, "shared-prompt")
+    stop = TOK.special_id("<|end|>")
+    shared = decode.prefill(ckpt, prompt)
+    rng_a, rng_b = named_rng(9, "rollouts"), named_rng(9, "rollouts")
+    for _ in range(4):
+        from_shared = sample_response(ckpt, prompt, rng_a, 8, 1.0, stop, (), shared)
+        assert from_shared == sample_response(ckpt, prompt, rng_b, 8, 1.0, stop)
+    assert shared[1].length == len(prompt)

@@ -381,7 +381,7 @@ def test_train_grpo_scores_each_rollout_once_per_policy(monkeypatch):
     original = loops.token_logprobs
 
     def counting(ckpt, tokens, from_pos):
-        calls.append((ckpt, T._current_graph() is not None))
+        calls.append((ckpt, T._current_graph() is not None, len(tokens)))
         return original(ckpt, tokens, from_pos)
 
     monkeypatch.setattr(loops, "token_logprobs", counting)
@@ -392,10 +392,11 @@ def test_train_grpo_scores_each_rollout_once_per_policy(monkeypatch):
         TrainSettings(spec=constant_spec(1e-3, 1), steps=1),
         group_size=3, max_tokens=4, seed=3,
     )
-    # the reference tape-free, the policy once under the tape; no second
-    # tape-free pass of the policy for its behaviour log-probs
-    scored = sorted((c is policy, taped) for c, taped in calls)
-    assert scored == [(False, False)] * 3 + [(True, True)] * 3
+    # one pass over the group's 3 rollouts each: the reference tape-free, the
+    # policy under the tape; no second tape-free pass of the policy for its
+    # behaviour log-probs
+    scored = sorted((c is policy, taped, n) for c, taped, n in calls)
+    assert scored == [(False, False, 3), (True, True, 3)]
 
 
 def test_train_grpo_rejects_small_group():

@@ -17,6 +17,7 @@ from forge.model import (
     forward,
     gqa_attention,
     init_params,
+    neg_inf_for,
     param_count,
     rms_norm,
     rope_frequencies,
@@ -25,6 +26,7 @@ from forge.model import (
 )
 from forge.rng import named_rng
 from forge.tensor import Graph, Tensor
+from forge.train.losses import GrpoGroup, grpo_objective
 
 
 def toy_config(**kw):
@@ -410,6 +412,148 @@ def test_full_model_gradient_check():
 
     err = T.gradient_check(loss, ckpt.params)
     assert err < 1e-3, f"full-model gradient error {err:.2e}"
+
+
+# -- a group of sequences in one pass ----------------------------------------------
+
+
+def reference_forward(ckpt, tokens, segment_ids=None, positions=None):
+    """The per-sequence model composed from plain tape ops: flat matmuls, a
+    broadcast gain product and one embedding scatter. A group's pass must
+    match this, run once per sequence, bit for bit."""
+    cfg, p = ckpt.config, ckpt.params
+    t_len, hs, nh, nkv = len(tokens), cfg.head_size, cfg.n_heads, cfg.n_kv_heads
+    mask = build_attention_mask(np.zeros(t_len, dtype=np.int64) if segment_ids is None else segment_ids)
+    tables = rope_frequencies(hs, cfg.rope_theta, np.arange(t_len) if positions is None else positions)
+
+    def norm(x, g):
+        return x / ((x * x).mean(axis=-1, keepdims=True) + cfg.rmsnorm_eps).sqrt() * g
+
+    x = T.embedding(p["embed.tok"], np.asarray(tokens))
+    for i in range(cfg.n_layers):
+        w = {k: p[f"layers.{i}.{k}"] for k in ("attn_norm.g", "attn.wq", "attn.wk", "attn.wv", "attn.wo",
+                                               "ffn_norm.g", "ffn.w_gate", "ffn.w_up", "ffn.w_down")}
+        h = norm(x, w["attn_norm.g"])
+        q = (h @ w["attn.wq"]).reshape(t_len, nh, hs).transpose(1, 0, 2)
+        k = (h @ w["attn.wk"]).reshape(t_len, nkv, hs).transpose(1, 0, 2)
+        v = (h @ w["attn.wv"]).reshape(t_len, nkv, hs).transpose(1, 0, 2)
+        q, k = apply_rope(q, k, tables)
+        q = q.reshape(nkv, cfg.group_size, t_len, hs)
+        scores = (q @ k.reshape(nkv, 1, t_len, hs).transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(hs))
+        scores = T.where(mask, scores, Tensor(np.full_like(scores.data, neg_inf_for(scores.dtype))))
+        out = scores.softmax(axis=-1) @ v.reshape(nkv, 1, t_len, hs)
+        x = x + out.transpose(2, 0, 1, 3).reshape(t_len, nh * hs) @ w["attn.wo"]
+        h = norm(x, w["ffn_norm.g"])
+        x = x + ((h @ w["ffn.w_gate"]).silu() * (h @ w["ffn.w_up"])) @ w["ffn.w_down"]
+    return norm(x, p["final_norm.g"]) @ p["lm_head"]
+
+
+def grpo_loss(per_token, lengths):
+    """grpo_objective over consecutive runs of per-token log-probs."""
+    starts = np.cumsum([0] + lengths[:-1])
+    lp = [T.narrow(per_token, 0, int(a), n) for a, n in zip(starts, lengths)]
+    return grpo_objective(GrpoGroup(
+        logp_policy=lp, logp_old=[t.data - 0.3 for t in lp], logp_ref=[t.data + 0.1 for t in lp],
+        rewards=np.linspace(0.0, 1.0, len(lp)),
+    ))
+
+
+def taped(build, ckpt):
+    """(logits, {parameter name: gradient}) of build(), which returns the
+    logits and a scalar loss built from them."""
+    with Graph() as g:
+        logits, loss = build()
+    g.backward(loss)
+    return logits.numpy(), {n: g.grad(p) for n, p in ckpt.params.items()}
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+# the e2e toy shape: one flat (rows, 32) @ (32, 264) lm_head gemm rounds
+# some rows differently from a pass per sequence once rows reach 17
+GROUP_CONFIG = dict(n_layers=2, d_model=32, n_heads=4, n_kv_heads=2, head_size=8, d_ff=64, vocab_size=264)
+GROUP_LENGTHS = {
+    "equal": [12] * 8,
+    "mixed": [3, 12, 7, 12, 1, 5, 12, 7],
+    "distinct": [9, 2, 14, 6, 1, 11, 4, 17],
+}
+
+
+@pytest.mark.parametrize("lengths", sorted(GROUP_LENGTHS))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_group_pass_is_bit_identical_to_separate_passes(lengths, dtype):
+    lengths = GROUP_LENGTHS[lengths]
+    cfg = toy_config(**GROUP_CONFIG)
+    ckpt = init_params(cfg, named_rng(0, "group"), dtype=dtype)
+    rng = named_rng(1, "group-tokens")
+    seqs = [rng.integers(0, cfg.vocab_size, n) for n in lengths]
+    targets = [rng.integers(0, cfg.vocab_size, n) for n in lengths]
+
+    def group():
+        logits = forward(ckpt, seqs)
+        return logits, grpo_loss(T.sum_(T.target_logprobs(logits, np.concatenate(targets)), axis=1), lengths)
+
+    def separate():
+        logits = [reference_forward(ckpt, s) for s in seqs]
+        per_token = [T.sum_(T.target_logprobs(lg, t), axis=1) for lg, t in zip(logits, targets)]
+        return T.concat(logits, axis=0), grpo_loss(T.concat(per_token, axis=0), lengths)
+
+    got, got_grads = taped(group, ckpt)
+    want, want_grads = taped(separate, ckpt)
+    assert_same_bits(got, want)
+    for name in ckpt.params:
+        assert_same_bits(got_grads[name], want_grads[name])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_packed_row_is_a_group_of_one(dtype):
+    cfg = toy_config(**GROUP_CONFIG)
+    ckpt = init_params(cfg, named_rng(2, "group"), dtype=dtype)
+    lengths = [5, 9, 3, 7]
+    tokens = named_rng(3, "packed-tokens").integers(0, cfg.vocab_size, sum(lengths))
+    segment_ids = np.repeat(np.arange(len(lengths)), lengths)
+    positions = np.concatenate([np.arange(n) for n in lengths])
+    targets = np.roll(tokens, -1)
+
+    def run(model):
+        def build():
+            logits = model(ckpt, tokens, segment_ids, positions)
+            return logits, grpo_loss(T.sum_(T.target_logprobs(logits, targets), axis=1), lengths)
+        return build
+
+    got, got_grads = taped(run(forward), ckpt)
+    want, want_grads = taped(run(reference_forward), ckpt)
+    assert_same_bits(got, want)
+    for name in ckpt.params:
+        assert_same_bits(got_grads[name], want_grads[name])
+
+
+def test_equal_length_group_records_a_third_of_the_nodes():
+    cfg = toy_config(**GROUP_CONFIG)
+    ckpt = init_params(cfg, named_rng(4, "group"))
+    seqs = [named_rng(5, f"seq{i}").integers(0, cfg.vocab_size, 12) for i in range(8)]
+
+    def nodes(build):
+        with Graph() as g:
+            build()
+        return len(g.nodes)
+
+    grouped = nodes(lambda: forward(ckpt, seqs))
+    separate = nodes(lambda: [forward(ckpt, s) for s in seqs])
+    assert grouped * 3 <= separate, (grouped, separate)
+
+
+def test_group_logits_follow_the_given_order():
+    cfg = toy_config()
+    ckpt = init_params(cfg, named_rng(6, "group"), dtype=np.float64)
+    seqs = [[1, 2, 3, 4], [5, 6], [7, 8, 9]]
+    got = forward(ckpt, seqs).numpy()
+    want = np.concatenate([forward(ckpt, s).numpy() for s in seqs])
+    np.testing.assert_array_equal(got, want)
+    with pytest.raises(ValueError, match="out of range"):
+        forward(ckpt, [[1, 2], [cfg.vocab_size]])
 
 
 # -- attention mask helper ---------------------------------------------------------

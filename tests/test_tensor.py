@@ -356,6 +356,38 @@ def test_grad_embedding():
     check(lambda p: (T.embedding(p["w"], ids) ** 2.0).sum(), {"w": w})
 
 
+def test_grad_row_block_primitives():
+    # three sequences of lengths 2, 3, 2: two buckets, stored out of order
+    rng = np.random.default_rng(21)
+    block = T.RowBlock([2, 3, 2])
+    assert block.buckets == ((0, 2, 2), (4, 1, 3)) and block.spans == ((0, 2), (4, 7), (2, 4))
+    ids = np.array([0, 2, 2, 5, 1, 0, 5])
+    p = {
+        "emb": Tensor(rand(rng, 6, 4), requires_grad=True),
+        "gain": Tensor(rand(rng, 4), requires_grad=True),
+        "w": Tensor(rand(rng, 4, 3), requires_grad=True),
+    }
+    check(lambda q: (T.block_matmul(T.mul_gain(T.embedding(q["emb"], ids, block), q["gain"], block),
+                                    q["w"], block) ** 2.0).sum(), p)
+    x = rand(rng, 7, 4)
+    w = rand(rng, 4, 3)
+    want = np.concatenate([x[a:b] @ w for a, b in ((0, 2), (2, 4), (4, 7))])
+    np.testing.assert_array_equal(T.block_matmul(Tensor(x), Tensor(w), block).numpy(), want)
+
+
+def test_take_rows_keeps_a_float64_gradient():
+    # max_'s VJP divides by an int64 tie count and sends back float64; a
+    # slice casts that to x's float32 on the way back, take_rows does not
+    x = Tensor(np.arange(8, dtype=np.float32).reshape(4, 2), requires_grad=True)
+    rows = np.array([2, 0, 1, 3])
+    for take, dtype in ((T.take_rows, np.float64), (T.slice_, np.float32)):
+        with T.Graph() as g:
+            y = T.sum_(T.max_(take(x, rows), axis=1))
+        g.backward(y)
+        assert g.grad(x).dtype == dtype
+        np.testing.assert_array_equal(g.grad(x), [[0, 1]] * 4)
+
+
 def test_grad_where():
     rng = np.random.default_rng(17)
     a = Tensor(rand(rng, 3, 4), requires_grad=True)
