@@ -3,9 +3,9 @@
 ``prefill`` runs a prompt through the model once and keeps each layer's
 rotated keys and values; ``step`` then feeds one token at a time, attending
 over the cache instead of re-running the whole prefix. Both work on plain
-numpy arrays (no tape, no ``Tensor`` wrappers) and mirror ``model.forward``
-op for op (scalar casts, mask, and the rotation kernel of ``rotate_pairs``),
-so ``prefill`` logits are bit-identical to ``forward`` on a causal sequence.
+numpy arrays and run each layer op on the kernel of the tape primitive that
+``model.forward`` records (``_rms_norm``, ``_rotate_pairs``, ``_masked_softmax``,
+``_swiglu``), so ``prefill`` logits are bit-identical to ``forward``'s.
 ``step`` logits agree with the last row of ``forward`` to float rounding only:
 a one-row matmul may take a different BLAS kernel than the full-sequence one.
 
@@ -28,7 +28,7 @@ from .model import (
     neg_inf_for,
     rope_frequencies,
 )
-from .tensor import _rotate_pairs, _stable_sigmoid
+from .tensor import _masked_softmax, _rms_norm, _rotate_pairs, _swiglu
 
 
 @dataclass
@@ -48,35 +48,21 @@ class KVCache:
         return KVCache(keys=list(self.keys), values=list(self.values))
 
 
-def _rms_norm(x: np.ndarray, g: np.ndarray, eps) -> np.ndarray:
-    # ndarray.mean is this sum and division behind a Python-level wrapper
-    ms = np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1]
-    return x / np.sqrt(ms + eps) * g
-
-
-def _softmax(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def _run(ckpt: Checkpoint, tokens: np.ndarray, positions, cache: KVCache, mask) -> np.ndarray:
     """Logits for ``tokens`` at ``positions``, attending over the cached keys
     and values (appended to in place) plus their own; ``mask`` is the causal
     mask among the new tokens, or None when every key is attendable."""
-    cfg = ckpt.config
-    p = ckpt.params
+    cfg, p = ckpt.config, ckpt.params
     t_len = len(tokens)
     hs, nh, nkv, group = cfg.head_size, cfg.n_heads, cfg.n_kv_heads, cfg.group_size
     x = p["embed.tok"].data[tokens]
-    dtype = x.dtype.type
-    eps = dtype(cfg.rmsnorm_eps)
+    eps, fill = cfg.rmsnorm_eps, neg_inf_for(x.dtype)
     tables = rope_frequencies(hs, cfg.rope_theta, positions)
     cos, sin = tables.cos.astype(x.dtype), tables.sin.astype(x.dtype)
-    scale = dtype(tables.mscale * tables.mscale / math.sqrt(hs))
-    neg_inf = dtype(neg_inf_for(x.dtype))
+    scale = tables.mscale * tables.mscale / math.sqrt(hs)
     for i in range(cfg.n_layers):
         lw = {k: p[f"layers.{i}.{k}"].data for k in _LAYER_SHAPES}
-        h = _rms_norm(x, lw["attn_norm.g"], eps)
+        h = _rms_norm(x, lw["attn_norm.g"], eps)[0]
         q = _rotate_pairs((h @ lw["attn.wq"]).reshape(t_len, nh, hs).transpose(1, 0, 2), cos, sin)
         k = _rotate_pairs((h @ lw["attn.wk"]).reshape(t_len, nkv, hs).transpose(1, 0, 2), cos, sin)
         v = (h @ lw["attn.wv"]).reshape(t_len, nkv, hs).transpose(1, 0, 2)
@@ -88,21 +74,20 @@ def _run(ckpt: Checkpoint, tokens: np.ndarray, positions, cache: KVCache, mask) 
             cache.values.append(v)
         s_len = k.shape[1]
         q = q.reshape(nkv, group, t_len, hs)
-        scores = (q @ k.reshape(nkv, 1, s_len, hs).transpose(0, 1, 3, 2)) * scale
-        if mask is not None:
-            scores = np.where(mask, scores, neg_inf)
-        out = _softmax(scores) @ v.reshape(nkv, 1, s_len, hs)
+        scores = q @ k.reshape(nkv, 1, s_len, hs).transpose(0, 1, 3, 2)
+        out = _masked_softmax(scores, mask, scale, fill)[0] @ v.reshape(nkv, 1, s_len, hs)
         x = x + out.transpose(2, 0, 1, 3).reshape(t_len, nh * hs) @ lw["attn.wo"]
-        h = _rms_norm(x, lw["ffn_norm.g"], eps)
-        gate = h @ lw["ffn.w_gate"]
-        x = x + ((gate * _stable_sigmoid(gate)) * (h @ lw["ffn.w_up"])) @ lw["ffn.w_down"]
-    return _rms_norm(x, p["final_norm.g"].data, eps) @ p["lm_head"].data
+        h = _rms_norm(x, lw["ffn_norm.g"], eps)[0]
+        x = x + _swiglu(h @ lw["ffn.w_gate"], h @ lw["ffn.w_up"])[0] @ lw["ffn.w_down"]
+    return _rms_norm(x, p["final_norm.g"].data, eps)[0] @ p["lm_head"].data
 
 
 def prefill(ckpt: Checkpoint, tokens) -> tuple[np.ndarray, KVCache]:
     """Logits (T, vocab) for a causal token sequence, and its key/value cache."""
     tokens = check_token_ids(tokens, ckpt.config.vocab_size)
     t_len = len(tokens)
+    if t_len == 0:
+        raise ValueError("prefill: the prompt is empty")
     cache = KVCache(keys=[], values=[])
     mask = build_attention_mask(np.zeros(t_len, dtype=np.int64))
     return _run(ckpt, tokens, np.arange(t_len), cache, mask), cache

@@ -9,8 +9,8 @@ rollouts, a DPO pair) to their rows of logits in one pass: the layers work
 on a flat block of rows (``tensor.RowBlock``) whose equal-length sequences
 are stacked on a batch axis for the matmuls and attention, and the result
 is bit-identical to a pass per sequence. Sampling and greedy generation do
-not call ``forward`` per token: ``forge.decode`` mirrors it in plain numpy
-with a key/value cache, rotating with the same kernel.
+not call ``forward`` per token: ``forge.decode`` runs the layer in numpy with
+a key/value cache, on the kernels of the same ``tensor`` primitives.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor
+from .tensor import Tensor, rms_norm  # forward, the layer probe and the span hooks use model.rms_norm
 
 
 @dataclass
@@ -164,21 +164,12 @@ def validate_checkpoint(ckpt: Checkpoint) -> None:
 # -- architectural pieces -------------------------------------------------------
 
 
-def rms_norm(x: Tensor, g: Tensor, eps: float, block: T.RowBlock | None = None) -> Tensor:
-    """y = x / sqrt(mean(x^2) + eps) * g, mean over the last dimension; x
-    holds the rows of ``block`` (by default one sequence)."""
-    if x.shape[-1] != g.shape[-1] or g.ndim != 1:
-        raise T.ShapeError(f"rms_norm: feature dim {x.shape[-1]} vs gain shape {g.shape}")
-    ms = (x * x).mean(axis=-1, keepdims=True)
-    return T.mul_gain(x / (ms + eps).sqrt(), g, block)
-
-
 def swiglu_ffn(x: Tensor, w_gate: Tensor, w_up: Tensor, w_down: Tensor,
                block: T.RowBlock | None = None) -> Tensor:
     """(silu(x W_gate) * (x W_up)) W_down over the rows of ``block`` (by
     default one sequence)."""
     gate = T.block_matmul(x, w_gate, block)
-    return T.block_matmul(gate.silu() * T.block_matmul(x, w_up, block), w_down, block)
+    return T.block_matmul(T.swiglu(gate, T.block_matmul(x, w_up, block)), w_down, block)
 
 
 @dataclass
@@ -325,10 +316,8 @@ def gqa_attention(
 
         # group query heads over their shared KV head: (count, nkv, group, T, hs)
         q = q.reshape(count, nkv, group, t_len, hs)
-        k_t = k.reshape(count, nkv, 1, t_len, hs).transpose(0, 1, 2, 4, 3)
-        scores = (q @ k_t) * (mscale * mscale / math.sqrt(hs))
-        scores = T.where(bucket_mask, scores, Tensor(np.full_like(scores.data, neg_inf_for(scores.dtype))))
-        attn = scores.softmax(axis=-1)
+        scores = q @ k.reshape(count, nkv, 1, t_len, hs).transpose(0, 1, 2, 4, 3)
+        attn = T.masked_softmax(scores, bucket_mask, mscale * mscale / math.sqrt(hs), neg_inf_for(scores.dtype))
         out = attn @ v.reshape(count, nkv, 1, t_len, hs)  # (count, nkv, group, T, hs)
         outs.append(out.transpose(0, 3, 1, 2, 4).reshape(count * t_len, nh * hs))
     out = outs[0] if len(outs) == 1 else T.concat(outs, axis=0)
@@ -389,6 +378,12 @@ def forward(
     poss = (positions if group else [positions]) if positions is not None else [None] * len(seqs)
     if not (len(segs) == len(poss) == len(seqs)):
         raise ValueError("forward: segment_ids and positions need one entry per sequence")
+    for i, seq in enumerate(seqs):
+        if len(seq) == 0:
+            raise ValueError(f"forward: sequence {i} is empty")
+        for name, given in (("segment_ids", segs[i]), ("positions", poss[i])):
+            if given is not None and len(given) != len(seq):
+                raise ValueError(f"forward: sequence {i} has {len(seq)} tokens but {len(given)} {name}")
     block = T.RowBlock([len(s) for s in seqs])
     order = block.order
     seg_rows = np.concatenate([

@@ -12,8 +12,8 @@ before backpropagating again.
     dx = g.grad(x)
 
 Broadcasting follows trailing-dimension alignment; incompatible shapes
-raise ``ShapeError``. Mixed float32/float64 operands are rejected rather
-than silently promoted.
+raise ``ShapeError``. Mixed float32/float64 operands are rejected, but
+``max_``'s VJP divides by int64 tie counts: gradients through it are float64.
 """
 
 from __future__ import annotations
@@ -49,8 +49,9 @@ class _Node:
 class Graph:
     """Append-only tape of operations plus a gradient store keyed by node id.
 
-    Node inputs always precede the node itself, so reverse append order is
-    a valid reverse-topological order for backpropagation.
+    Node inputs always precede the node itself, so reverse append order is a valid
+    reverse-topological order for backpropagation. A node may list one input
+    several times, and backward adds a node's entries in list order.
     """
 
     def __init__(self):
@@ -717,24 +718,6 @@ def block_matmul(x: Tensor, w: Tensor, block: RowBlock | None = None) -> Tensor:
     ])
 
 
-def mul_gain(x: Tensor, g: Tensor, block: RowBlock | None = None) -> Tensor:
-    """x * g for x (rows, d) or (d,) and a gain g (d,). g's gradient sums
-    each sequence's rows of ``block`` (by default one sequence holding every
-    row) and adds the sums in reverse sequence order."""
-    x, g = _as_tensor(x), _as_tensor(g)
-    _check_dtypes(x, g, "mul_gain")
-    if g.ndim != 1 or x.shape[-1] != g.shape[0] or x.ndim > 2:
-        raise ShapeError(f"mul_gain: shapes {x.shape} and {g.shape} do not conform")
-    xd, gd = x.data, g.data
-    block = block or RowBlock([1 if xd.ndim == 1 else len(xd)])
-
-    def vjp_gain(go):
-        prod = (go * xd).reshape(-1, gd.shape[0])
-        return _fold_spans(block, lambda a, b: prod[a:b].sum(axis=0))
-
-    return _make("mul_gain", xd * gd, [(x, lambda go: go * gd), (g, vjp_gain)])
-
-
 def embedding(weight: Tensor, ids, block: RowBlock | None = None) -> Tensor:
     """Row-gather by integer id; gradient scatter-adds into the table, one
     table per sequence of ``block`` (by default one sequence of every id),
@@ -757,6 +740,86 @@ def embedding(weight: Tensor, ids, block: RowBlock | None = None) -> Tensor:
         return _fold_spans(block, scatter)
 
     return _make("embedding", out, [(weight, vjp)])
+
+
+# -- layer primitives: one node per op, over a numpy kernel that forge.decode calls.
+# Each VJP replays its composite's VJPs with the same expressions, order and casts.
+
+
+def _rms_norm(x: np.ndarray, g: np.ndarray, eps: float):
+    """x / sqrt(mean(x²) + eps) * g over the last axis, and the root; mean as ndarray.mean sums and divides."""
+    r = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1] + x.dtype.type(eps))
+    return x / r * g, r
+
+
+def rms_norm(x: Tensor, g: Tensor, eps: float, block: RowBlock | None = None) -> Tensor:
+    """RMSNorm of x (rows, d) or (d,), as ``x / ((x * x).mean(-1, keepdims=True) + eps).sqrt() * g``;
+    g's gradient sums each sequence's rows of ``block`` (one by default), in reverse sequence order."""
+    x, g = _as_tensor(x), _as_tensor(g)
+    _check_dtypes(x, g, "rms_norm")
+    if g.ndim != 1 or x.shape[-1] != g.shape[0] or x.ndim > 2:
+        raise ShapeError(f"rms_norm: shapes {x.shape} and gain {g.shape} do not conform")
+    xd, gd = x.data, g.data
+    out, r = _rms_norm(xd, gd, eps)
+    block = block or RowBlock([1 if xd.ndim == 1 else len(xd)])
+    parts: list = []
+
+    def vjp_x(go):  # x's parts, computed once: the division's, then the square's two
+        if not parts:
+            gy = go * gd
+            gr = _unbroadcast(-gy * xd / (r * r), r.shape)
+            sq = np.broadcast_to(gr * 0.5 / r, xd.shape) / xd.shape[-1] * xd
+            parts.extend([sq, sq, gy / r])
+        return parts.pop()
+
+    def vjp_gain(go):
+        prod = (go * (xd / r)).reshape(-1, gd.shape[0])
+        return _fold_spans(block, lambda a, b: prod[a:b].sum(axis=0))
+
+    return _make("rms_norm", out, [(x, vjp_x), (x, vjp_x), (x, vjp_x), (g, vjp_gain)])
+
+
+def _masked_softmax(scores: np.ndarray, mask, scale: float, fill: float):
+    """Softmax of scores * scale over the last axis, entries outside the bool ``mask`` (None keeps
+    all) set to ``fill``; then the masked scores, their row max, exponentials and row sums."""
+    dtype = scores.dtype.type
+    s = scores * dtype(scale)
+    s = s if mask is None else np.where(mask, s, dtype(fill))
+    m = s.max(axis=-1, keepdims=True)
+    e = np.exp(s - m)
+    total = e.sum(axis=-1, keepdims=True)
+    return e / total, s, m, e, total
+
+
+def masked_softmax(scores: Tensor, mask, scale: float, fill: float) -> Tensor:
+    """``_masked_softmax``, as scale's mul, ``where`` and ``softmax``; max's tie split makes gradients float64."""
+    scores = _as_tensor(scores)
+    out, s, m, e, total = _masked_softmax(scores.data, mask, scale, fill)
+    hit, dtype = s == m, out.dtype.type
+
+    def vjp(g):
+        gs = (g / total + np.broadcast_to(_unbroadcast(-g * e / (total * total), total.shape), e.shape)) * e
+        gs = gs + np.broadcast_to(_unbroadcast(-gs, total.shape), e.shape) * hit / hit.sum(axis=-1, keepdims=True)
+        return (gs if mask is None else np.where(mask, gs, dtype(0))) * dtype(scale)
+
+    return _make("masked_softmax", out, [(scores, vjp)])
+
+
+def _swiglu(a: np.ndarray, b: np.ndarray):
+    """silu(a) * b, and the sigmoid of a."""
+    sig = _stable_sigmoid(a)
+    return a * sig * b, sig
+
+
+def swiglu(a: Tensor, b: Tensor) -> Tensor:
+    """The SwiGLU gate, as the composite ``a.silu() * b`` for a and b of one
+    shape: b's part, then a's."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    _check_dtypes(a, b, "swiglu")
+    ad, bd = a.data, b.data
+    out, sig = _swiglu(ad, bd)
+    return _make("swiglu", out, [(b, lambda go: go * (ad * sig)),
+                                 (a, lambda go: go * bd * (sig * (1.0 + ad * (1.0 - sig))))])
 
 
 # -- composites ---------------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from forge import tensor as T
+from forge import decode, tensor as T
 from forge.model import (
     Checkpoint,
     ModelConfig,
@@ -172,7 +172,8 @@ def test_rope_records_one_node_per_tensor():
 
 
 def test_toy_layer_tape_nodes():
-    """Each layer adds at most 55 nodes to forward's tape, its 9 weights included."""
+    """Each layer adds at most 38 nodes to forward's tape, its 9 weights
+    included; each RMSNorm, score softmax and SwiGLU gate is one node."""
     def ops(n_layers):
         cfg = toy_config(n_layers=n_layers, d_model=32, n_heads=4, n_kv_heads=2, head_size=8, d_ff=64)
         with Graph() as g:
@@ -181,7 +182,9 @@ def test_toy_layer_tape_nodes():
 
     one, two = ops(1), ops(2)
     assert two.count("leaf") - one.count("leaf") == 9
-    assert len(two) - len(one) <= 55
+    for op, count in (("rms_norm", 2), ("masked_softmax", 1), ("swiglu", 1)):
+        assert two.count(op) - one.count(op) == count
+    assert len(two) - len(one) <= 38
 
 
 def test_rope_table_tensor_mismatch():
@@ -554,6 +557,22 @@ def test_group_logits_follow_the_given_order():
     np.testing.assert_array_equal(got, want)
     with pytest.raises(ValueError, match="out of range"):
         forward(ckpt, [[1, 2], [cfg.vocab_size]])
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda ck: forward(ck, [[1, 2, 3], [4]], segment_ids=[[0], [0, 1, 2]]),
+     "sequence 0 has 3 tokens but 1 segment_ids"),
+    (lambda ck: forward(ck, [[1, 2, 3], [4]], positions=[[0], [5, 6, 7]]),
+     "sequence 0 has 3 tokens but 1 positions"),
+    (lambda ck: forward(ck, [1, 2, 3], positions=[0, 1, 2, 3, 4]), "sequence 0 has 3 tokens but 5 positions"),
+    (lambda ck: forward(ck, [1, 2, 3], segment_ids=[0, 0]), "sequence 0 has 3 tokens but 2 segment_ids"),
+    (lambda ck: forward(ck, [[1, 2], []]), "sequence 1 is empty"),
+    (lambda ck: forward(ck, []), "sequence 0 is empty"),
+    (lambda ck: decode.prefill(ck, []), "prompt is empty"),
+], ids=["segments", "positions", "extra-positions", "short-segments", "empty-in-group", "empty", "empty-prompt"])
+def test_per_sequence_inputs_are_checked(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(init_params(toy_config(), named_rng(7, "group")))
 
 
 # -- attention mask helper ---------------------------------------------------------

@@ -367,7 +367,7 @@ def test_grad_row_block_primitives():
         "gain": Tensor(rand(rng, 4), requires_grad=True),
         "w": Tensor(rand(rng, 4, 3), requires_grad=True),
     }
-    check(lambda q: (T.block_matmul(T.mul_gain(T.embedding(q["emb"], ids, block), q["gain"], block),
+    check(lambda q: (T.block_matmul(T.rms_norm(T.embedding(q["emb"], ids, block), q["gain"], 1e-6, block),
                                     q["w"], block) ** 2.0).sum(), p)
     x = rand(rng, 7, 4)
     w = rand(rng, 4, 3)
@@ -447,6 +447,79 @@ def test_rotate_pairs_matches_interleave_reference(dtype):
     np.testing.assert_array_equal(y, y_ref)
     assert gx.dtype == gx_ref.dtype == dtype
     np.testing.assert_array_equal(gx, gx_ref)
+
+
+# -- layer primitives against the composites they replace ------------------------
+
+
+def rms_norm_reference(x, g, eps):
+    return x / ((x * x).mean(axis=-1, keepdims=True) + eps).sqrt() * g
+
+
+def masked_softmax_reference(scores, mask, scale, fill):
+    s = scores * scale
+    if mask is not None:
+        s = T.where(mask, s, Tensor(np.full_like(s.data, fill)))
+    return s.softmax(axis=-1)
+
+
+def swiglu_reference(a, b):
+    return a.silu() * b
+
+
+def layer_cases(rng, dtype):
+    """name: (primitive, composite reference, input arrays, other consumer of
+    the first input or None). Integer-valued scores tie often, and one
+    masked row has no key left, so max's tie split is exercised."""
+    mask = np.tril(np.ones((5, 5), dtype=bool)) & (rng.random((5, 5)) < 0.8)
+    mask[0] = False
+    scores = rng.integers(-2, 3, (2, 3, 5, 5)).astype(dtype)
+    return {
+        "rms_norm": (lambda x, g: T.rms_norm(x, g, 1e-6), lambda x, g: rms_norm_reference(x, g, 1e-6),
+                     [rng.standard_normal((4, 6)).astype(dtype), rng.standard_normal(6).astype(dtype)],
+                     lambda y, x: x + y),
+        "masked_softmax": (lambda s: T.masked_softmax(s, mask, 0.35, -1e9),
+                           lambda s: masked_softmax_reference(s, mask, 0.35, -1e9), [scores], None),
+        "softmax_no_mask": (lambda s: T.masked_softmax(s, None, 0.35, -1e9),
+                            lambda s: masked_softmax_reference(s, None, 0.35, -1e9), [scores], None),
+        "swiglu": (T.swiglu, swiglu_reference, [rng.standard_normal((4, 6)).astype(dtype) for _ in "ab"], None),
+    }
+
+
+LAYER_CASES = ["rms_norm", "masked_softmax", "softmax_no_mask", "swiglu"]
+
+
+@pytest.mark.parametrize("name", LAYER_CASES)
+def test_grad_layer_primitives(name):
+    rng = np.random.default_rng(22)
+    op, _, arrays, _ = layer_cases(rng, np.float64)[name]
+    arrays = [a + rng.uniform(-0.1, 0.1, a.shape) for a in arrays]  # no ties for finite differences
+    w = rand(rng, *op(*[Tensor(a) for a in arrays]).shape)
+    check(lambda q: (op(*q.values()) * w).sum(), {str(i): Tensor(a, requires_grad=True) for i, a in enumerate(arrays)})
+
+
+# a log_softmax head sends back float64 gradients for float32 inputs, since
+# max_'s VJP divides by an int64 tie count; a linear head keeps float32
+@pytest.mark.parametrize("dtype,head", [(np.float32, "log_softmax"), (np.float32, "linear"),
+                                        (np.float64, "log_softmax")])
+@pytest.mark.parametrize("name", LAYER_CASES)
+def test_layer_primitive_matches_composite(name, dtype, head):
+    op, reference, arrays, consumer = layer_cases(np.random.default_rng(23), dtype)[name]
+
+    def run(fn):
+        xs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        with Graph() as g:
+            y = fn(*xs)
+            z = y if consumer is None else consumer(y, xs[0])
+            w = np.random.default_rng(24).standard_normal(z.shape).astype(dtype)
+            loss = ((z.log_softmax(-1) if head == "log_softmax" else z) * w).sum()
+        g.backward(loss)
+        return [y.data, g.grad(y)] + [g.grad(x) for x in xs]
+
+    got, want = run(op), run(reference)
+    assert got[1].dtype == (np.float64 if head == "log_softmax" else dtype)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("composite", ["softmax", "log_softmax"])
