@@ -333,8 +333,11 @@ def build_attention_mask(segment_ids: np.ndarray, dtype=bool) -> np.ndarray:
 
 
 def check_token_ids(tokens, vocab_size: int) -> np.ndarray:
-    """tokens as int64, or ValueError naming an id outside [0, vocab_size)."""
+    """tokens as a 1-D int64 sequence, or ValueError naming another shape or
+    an id outside [0, vocab_size)."""
     tokens = np.asarray(tokens, dtype=np.int64)
+    if tokens.ndim != 1:
+        raise ValueError(f"token ids must be a 1-D sequence, got shape {tokens.shape}")
     if tokens.size and (tokens.min() < 0 or tokens.max() >= vocab_size):
         bad = int(tokens.min()) if tokens.min() < 0 else int(tokens.max())
         raise ValueError(f"token id {bad} out of range for vocab of {vocab_size}")

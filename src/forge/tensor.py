@@ -404,13 +404,12 @@ def sqrt(a: Tensor) -> Tensor:
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    # evaluate exp only on the side where it cannot overflow
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ez = np.exp(x[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """exp(min(x, 0)) / (1 + exp(-|x|)) on the whole array: no exponent is positive, and no per-element
+    select, which costs more than the arithmetic. ``out=`` keeps an ndarray of x's shape, also 0-d."""
+    num, den = np.empty_like(x), np.empty_like(x)
+    np.exp(np.minimum(x, 0, out=num), out=num)
+    np.exp(np.negative(np.abs(x, out=den), out=den), out=den)
+    return np.divide(num, np.add(den, 1, out=den), out=num)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -795,6 +794,8 @@ def masked_softmax(scores: Tensor, mask, scale: float, fill: float) -> Tensor:
     """``_masked_softmax``, as scale's mul, ``where`` and ``softmax``; max's tie split makes gradients float64."""
     scores = _as_tensor(scores)
     out, s, m, e, total = _masked_softmax(scores.data, mask, scale, fill)
+    if _current_graph() is None:  # no tape: the VJP's tie mask is never read
+        return Tensor(out)
     hit, dtype = s == m, out.dtype.type
 
     def vjp(g):

@@ -569,7 +569,9 @@ def test_group_logits_follow_the_given_order():
     (lambda ck: forward(ck, [[1, 2], []]), "sequence 1 is empty"),
     (lambda ck: forward(ck, []), "sequence 0 is empty"),
     (lambda ck: decode.prefill(ck, []), "prompt is empty"),
-], ids=["segments", "positions", "extra-positions", "short-segments", "empty-in-group", "empty", "empty-prompt"])
+    (lambda ck: forward(ck, np.array([[1, 2], [3, 4]])), r"1-D sequence, got shape \(2, 2\)"),
+], ids=["segments", "positions", "extra-positions", "short-segments", "empty-in-group", "empty", "empty-prompt",
+        "2-d-ids"])
 def test_per_sequence_inputs_are_checked(call, message):
     with pytest.raises(ValueError, match=message):
         call(init_params(toy_config(), named_rng(7, "group")))

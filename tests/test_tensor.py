@@ -74,10 +74,11 @@ def test_silu_value():
 
 
 def test_sigmoid_extreme_inputs_stable():
-    x = Tensor(np.array([-1000.0, 1000.0], dtype=np.float64))
-    out = x.sigmoid().numpy()
-    assert np.all(np.isfinite(out))
-    np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-12)
+    for dtype in (np.float32, np.float64):
+        x = Tensor(np.array([-np.inf, -1000.0, 1000.0, np.inf], dtype=dtype))
+        out = x.sigmoid().numpy()
+        assert out.dtype == dtype and np.all(np.isfinite(out))
+        np.testing.assert_allclose(out, [0.0, 0.0, 1.0, 1.0], atol=1e-12)
 
 
 def test_softmax_rows_sum_to_one_under_shift():
@@ -447,6 +448,62 @@ def test_rotate_pairs_matches_interleave_reference(dtype):
     np.testing.assert_array_equal(y, y_ref)
     assert gx.dtype == gx_ref.dtype == dtype
     np.testing.assert_array_equal(gx, gx_ref)
+
+
+# -- the sigmoid kernel against its branchy form -----------------------------------
+
+
+def branchy_sigmoid(x):
+    """The reference: exp only on the side where it cannot overflow, one
+    boolean gather and scatter per side."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ez = np.exp(x[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def assert_sigmoid_kernel_matches(x):
+    want = branchy_sigmoid(x)
+    raising = dict(over="raise", invalid="raise", divide="raise") if np.all(np.isfinite(x)) else {}
+    with np.errstate(**raising):  # finite inputs must not overflow or divide by zero
+        got = T._stable_sigmoid(x)
+    assert isinstance(got, np.ndarray) and got.dtype == want.dtype == x.dtype and got.shape == x.shape
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def sigmoid_edges(dtype):
+    """Signed zeros, infinities, the smallest subnormal, ±1e4, and each side of
+    exp's overflow (log max, ~88.7 / ~709.8) and underflow (log of the smallest
+    subnormal, ~-103.3 / ~-744.4) thresholds, both signs."""
+    info = np.finfo(dtype)
+    edges = [0.0, -0.0, np.inf, -np.inf, info.smallest_subnormal, 1e4, np.nan]
+    for t in (np.log(info.max), np.log(info.smallest_subnormal)):
+        t = dtype(t)
+        edges += [np.nextafter(t, dtype(-np.inf)), t, np.nextafter(t, dtype(np.inf))]
+    x = np.array(edges, dtype=dtype)
+    return np.concatenate([x, -x])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_kernel_matches_branchy_form(dtype):
+    edges = sigmoid_edges(dtype)
+    assert_sigmoid_kernel_matches(edges)
+    for v in edges:
+        assert_sigmoid_kernel_matches(np.array(v, dtype=dtype))  # 0-d
+    assert_sigmoid_kernel_matches(edges[np.isfinite(edges)])
+    block = (np.random.default_rng(25).standard_normal((48, 33)) * 40).astype(dtype)
+    for x in (block, block.T, block[:, ::3], block[1::2, ::-5].T, np.empty((0, 3), dtype=dtype)):
+        assert_sigmoid_kernel_matches(x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([32, 64]).flatmap(
+    lambda width: st.lists(st.floats(allow_nan=False, allow_infinity=False, width=width), min_size=1, max_size=40)
+    .map(lambda xs: np.array(xs, dtype=np.float32 if width == 32 else np.float64))))
+def test_sigmoid_kernel_matches_branchy_form_on_finite_floats(x):
+    assert_sigmoid_kernel_matches(x)
 
 
 # -- layer primitives against the composites they replace ------------------------

@@ -3,8 +3,11 @@
 Builds the acceptance test's toy workspace (``test_09``), runs the five
 stages through the CLI (upscale, train-sft, train-dpo, train-grpo, eval),
 prints the sha256 prefix of each of the 14 artifacts that ``test_09``
-compares between two runs, and compares each with ``EXPECTED`` below. Exits 1
-naming every artifact that differs, 0 when all match.
+compares between two runs, and compares each with ``EXPECTED`` below. A 15th
+line hashes the per-choice log-likelihoods that the eval stage scores under
+``grpo.ckpt``: report.json keeps only the accuracy they round to, so it can
+keep its bytes while the model's numbers move. Exits 1 naming every entry
+that differs, 0 when all match.
 
     PYTHONPATH=src python tools/artifact_hashes.py
 
@@ -23,7 +26,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
 
+from forge.checkpoint import load_checkpoint  # noqa: E402
+from forge.evalharness import build_prompt, load_suite, loglikelihood_choice  # noqa: E402
 from test_acceptance import build_e2e_workspace, run_e2e  # noqa: E402
+
+CHOICE_SCORES = "choice scores"
 
 EXPECTED = {
     "up.ckpt": "3cfce1fd7333c540",
@@ -40,7 +47,20 @@ EXPECTED = {
     "train_dpo_manifest.json": "a4ae6cc5ac0ff1b0",
     "train_grpo_manifest.json": "bd806f2fb335060f",
     "eval_manifest.json": "470b2f37120d5aa6",
+    CHOICE_SCORES: "76075786789dc1c9",
 }
+
+
+def choice_scores_digest(ws: Path) -> str:
+    """sha256 prefix of the float64 bytes of every scored item's per-choice
+    scores, in suite and item order, from ``loglikelihood_choice`` under grpo.ckpt."""
+    ckpt = load_checkpoint(ws / "grpo.ckpt")
+    h = hashlib.sha256()
+    for task in load_suite(ws / "suite.json"):
+        if task.mode == "loglikelihood":
+            for item in task.scored_items():
+                h.update(loglikelihood_choice(ckpt, build_prompt(task, item), item["choices"])[1].tobytes())
+    return h.hexdigest()[:16]
 
 
 def main() -> int:
@@ -50,14 +70,17 @@ def main() -> int:
         run_e2e(ws)  # an AssertionError names a stage that exits non-zero
         differ = []
         for name, want in EXPECTED.items():
-            got = hashlib.sha256((ws / name).read_bytes()).hexdigest()[:16]
+            if name == CHOICE_SCORES:
+                got = choice_scores_digest(ws)
+            else:
+                got = hashlib.sha256((ws / name).read_bytes()).hexdigest()[:16]
             print(f"{name:<26} {got}  {'ok' if got == want else f'DIFFERS (expected {want})'}")
             if got != want:
                 differ.append(name)
     if differ:
-        print(f"{len(differ)} of {len(EXPECTED)} artifacts differ: {', '.join(differ)}", file=sys.stderr)
+        print(f"{len(differ)} of {len(EXPECTED)} entries differ: {', '.join(differ)}", file=sys.stderr)
         return 1
-    print(f"all {len(EXPECTED)} artifacts match")
+    print(f"all {len(EXPECTED)} entries match")
     return 0
 
 
