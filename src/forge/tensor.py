@@ -3,8 +3,9 @@
 Values are numpy buffers (float32 for training fixtures, float64 for
 gradient checks). Recording happens only inside an active ``Graph``
 context; outside of one, operations compute plain values and keep no
-history. A graph is single-use: call ``backward`` once, then ``reset``
-before backpropagating again.
+history. A graph is single-use: ``backward`` releases the tape as it
+runs, so it runs once. Leaf gradients, and those of intermediates the
+caller still holds, stay readable through ``grad``.
 
     with Graph() as g:
         y = (x * x).sum()
@@ -17,6 +18,8 @@ raise ``ShapeError``. Mixed float32/float64 operands are rejected, but
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -37,13 +40,14 @@ def _current_graph() -> "Graph | None":
 
 
 class _Node:
-    __slots__ = ("op", "input_ids", "vjps")
+    __slots__ = ("op", "input_ids", "vjps", "out")
 
-    def __init__(self, op, input_ids, vjps):
+    def __init__(self, op, input_ids, vjps, out):
         self.op = op
         self.input_ids = input_ids
         # vjps: list of (input node id, fn(grad_out) -> grad contribution)
         self.vjps = vjps
+        self.out = out  # weak reference to the recorded output; None for a leaf
 
 
 class Graph:
@@ -75,7 +79,7 @@ class Graph:
         nid = self._leaf_ids.get(id(t))
         if nid is None:
             nid = len(self.nodes)
-            self.nodes.append(_Node("leaf", (), ()))
+            self.nodes.append(_Node("leaf", (), (), None))
             self._leaf_ids[id(t)] = nid
             self._leaf_refs.append(t)
         return nid
@@ -90,19 +94,21 @@ class Graph:
 
     def _record(self, op: str, out: "Tensor", vjps) -> None:
         nid = len(self.nodes)
-        self.nodes.append(_Node(op, tuple(i for i, _ in vjps), list(vjps)))
+        self.nodes.append(_Node(op, tuple(i for i, _ in vjps), list(vjps), weakref.ref(out)))
         out.graph = self
         out.node_id = nid
         out.requires_grad = True
 
     def backward(self, seed: "Tensor") -> dict[int, np.ndarray]:
-        """Reverse-accumulate gradients from a scalar seed node.
+        """Reverse-accumulate gradients from a scalar seed node, releasing the
+        tape as it goes: every node's VJPs are dropped as they run, and so is
+        each gradient but a leaf's or one a live Tensor still names.
 
         Returns the gradient store. Raises if the seed is non-scalar, not
-        on this graph, or if backward already ran without a reset.
+        on this graph, or if backward already ran.
         """
         if self._consumed:
-            raise GraphError("backward already ran on this graph; call reset() first")
+            raise GraphError("backward already ran on this graph; its tape is released")
         if seed.graph is not self:
             raise GraphError("seed tensor is not a node of this graph")
         if seed.data.size != 1:
@@ -111,19 +117,16 @@ class Graph:
         grads = self.grads
         grads[seed.node_id] = np.ones_like(seed.data)
         for nid in range(len(self.nodes) - 1, -1, -1):
-            g = grads.get(nid)
+            node = self.nodes[nid]
+            vjps, node.vjps = node.vjps, ()  # the VJPs hold the activations
+            g = grads.get(nid) if node.out is None or node.out() is not None else grads.pop(nid, None)
             if g is None:
                 continue
-            for input_id, vjp in self.nodes[nid].vjps:
+            for input_id, vjp in vjps:
                 contrib = vjp(g)
                 acc = grads.get(input_id)
                 grads[input_id] = contrib if acc is None else acc + contrib
         return grads
-
-    def reset(self) -> None:
-        """Clear the gradient store, allowing another backward pass."""
-        self.grads = {}
-        self._consumed = False
 
     def grad(self, t: "Tensor") -> np.ndarray | None:
         """Gradient of the seed with respect to ``t``, or None if unreached."""
@@ -146,7 +149,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """Dense n-dimensional float array, optionally tracked for gradients."""
 
-    __slots__ = ("data", "requires_grad", "graph", "node_id")
+    __slots__ = ("data", "requires_grad", "graph", "node_id", "__weakref__")
 
     # make numpy defer mixed ndarray-Tensor arithmetic to our reflected ops
     __array_ufunc__ = None

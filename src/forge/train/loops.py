@@ -11,6 +11,8 @@ micro-batch on one worker here.
 from __future__ import annotations
 
 import csv
+import ctypes
+import platform
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,33 +84,55 @@ def _check_finite(value: float, step: int, what: str) -> None:
         raise NumericError(f"step {step}: {what} is not finite ({value})")
 
 
+def _keep_freed_pages() -> None:
+    """On glibc, keep the pages a freed tape held for the next step, instead of
+    trimming them and faulting them back in. Setting either threshold turns
+    glibc's dynamic mmap threshold off, so both are set; 32 MiB is its ceiling."""
+    if platform.libc_ver()[0] == "glibc":
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 2**31 - 1)  # M_TRIM_THRESHOLD
+
+
+def _backprop_micro(ckpt: Checkpoint, build, sums, step: int):
+    """Build one micro unit's loss on its own tape, backpropagate, and add the
+    parameter gradients into ``sums``, made here on the first call. Returns
+    (sums, loss value, extras); the tape dies on return."""
+    with Graph() as g:
+        loss, extras = build()
+        val = float(loss.data)
+        _check_finite(val, step, "loss")
+        g.backward(loss)
+    if sums is None:
+        sums = {n: np.zeros_like(p.data) for n, p in ckpt.params.items()}
+    for name, p in ckpt.params.items():
+        grad = g.grad(p)
+        if grad is not None:
+            sums[name] += grad
+    return sums, val, extras
+
+
 def _run_steps(ckpt: Checkpoint, settings: TrainSettings, micro_losses, log_fields, log_path):
     """Shared optimizer driver.
 
-    micro_losses(step) yields, inside a fresh tape each, (scalar loss Tensor,
-    extras dict) for every accumulation unit; extras are averaged into the
-    step row.
+    micro_losses(step) yields, for every accumulation unit, a function that
+    builds (scalar loss Tensor, extras dict) under a fresh tape; extras are
+    averaged into the step row.
     """
+    _keep_freed_pages()
     state = init_state(ckpt.params)
     writer = _StepWriter(log_path, log_fields)
     rows = []
     try:
         for step in range(settings.steps):
             lr = lr_at(settings.spec, step)
-            grads = {n: np.zeros_like(p.data) for n, p in ckpt.params.items()}
+            grads = None
             loss_sum = 0.0
             extra_sums: dict[str, float] = {}
             n_micro = 0
             for build in micro_losses(step):
-                with Graph() as g:
-                    loss, extras = build()
-                    val = float(loss.data)
-                    _check_finite(val, step, "loss")
-                    g.backward(loss)
-                    for name, p in ckpt.params.items():
-                        grad = g.grad(p)
-                        if grad is not None:
-                            grads[name] += grad
+                grads, val, extras = _backprop_micro(ckpt, build, grads, step)
                 loss_sum += val
                 for k, v in extras.items():
                     extra_sums[k] = extra_sums.get(k, 0.0) + v

@@ -79,4 +79,4 @@ def adamw_step(
         update = lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
         if weight_decay:
             update = update + lr * weight_decay * p.data
-        p.data -= update.astype(p.data.dtype)
+        p.data -= update.astype(p.data.dtype, copy=False)

@@ -3,6 +3,8 @@ overfit/learning smoke properties."""
 
 import gc
 import math
+import types
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -417,3 +419,54 @@ def test_train_grpo_step_log_has_rl_columns(tmp_path):
     lines = log.read_text().strip().splitlines()
     assert lines[0] == "step,lr,loss,grad_norm,mean_reward,mean_kl"
     assert len(lines) == 2
+
+
+# --- tape lifetime ---
+
+def test_training_keeps_one_tape_alive_at_a_time(monkeypatch):
+    """Each micro-batch's tape is freed by reference counting (gc is off)
+    before the next one is recorded and before GRPO samples the next group.
+    The training driver keeps glibc from trimming the freed pages, on glibc only."""
+    from forge.train import loops
+
+    tapes, mallopt_calls = [], []
+
+    def live_tapes():
+        return [ref for ref in tapes if ref() is not None]
+
+    def tracked_graph():
+        assert not live_tapes(), "an earlier tape is still alive"
+        g = T.Graph()
+        tapes.append(weakref.ref(g))
+        return g
+
+    def sampling(*args, **kwargs):
+        assert not live_tapes(), "a tape is alive while sampling"
+        return sample_response(*args, **kwargs)
+
+    def mallopt(param, value):
+        mallopt_calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(loops, "Graph", tracked_graph)
+    monkeypatch.setattr(loops, "sample_response", sampling)
+    monkeypatch.setattr(loops.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+    monkeypatch.setattr(loops.platform, "libc_ver", lambda: ("glibc", "2.36"))
+    gc.collect()
+    gc.disable()
+    try:
+        train_sft(fresh_ckpt(), sft_batches(), TrainSettings(spec=constant_spec(1e-3, 2), steps=2, accum=2))
+        assert len(tapes) == 4
+        assert mallopt_calls == [(-3, 32 << 20), (-1, 2**31 - 1)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+        monkeypatch.setattr(loops.platform, "libc_ver", lambda: ("", ""))
+        policy = fresh_ckpt()
+        train_grpo(
+            policy, clone(policy), load_rl_dataset(FIXTURES / "rl_math.jsonl")[:2], TOK,
+            TrainSettings(spec=constant_spec(1e-3, 2), steps=2),
+            group_size=2, max_tokens=6, seed=3,
+        )
+        assert len(tapes) == 6 and not live_tapes()
+        assert len(mallopt_calls) == 2
+    finally:
+        gc.enable()

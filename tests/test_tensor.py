@@ -165,16 +165,33 @@ def test_backward_requires_scalar_seed():
         g.backward(y)
 
 
-def test_double_backward_rejected_until_reset():
+def test_double_backward_rejected():
     x = Tensor(np.ones(3), requires_grad=True)
     with Graph() as g:
         y = (x * x).sum()
     g.backward(y)
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="released"):
         g.backward(y)
-    g.reset()
-    g.backward(y)
-    np.testing.assert_allclose(g.grad(x), 2.0 * np.ones(3))
+
+
+def test_backward_releases_the_tape():
+    """Backward drops every node's VJPs and every intermediate gradient that no
+    live Tensor names; leaf gradients and held intermediates stay, exact."""
+    xd = np.array([0.1, -1.3, 2.7], dtype=np.float32)
+    x = Tensor(xd, requires_grad=True)
+    with Graph() as g:
+        y = x * x  # kept
+        dropped = y * 3.0
+        loss = (dropped + x).sum()  # x reused
+        dropped_id = dropped.node_id
+        del dropped
+    g.backward(loss)
+    assert all(node.vjps == () for node in g.nodes)
+    assert dropped_id not in g.grads
+    # loss = sum(3 x^2 + x): dloss/dy = 3; dloss/dx = 1 + 3x + 3x, added in tape order
+    for got, want in ((g.grad(y), np.full(3, 3.0, dtype=np.float32)),
+                      (g.grad(x), np.ones(3, dtype=np.float32) + 3 * xd + 3 * xd)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_cross_graph_mixing_rejected():
