@@ -1,16 +1,21 @@
 """Tape-free decoding with a per-layer key/value cache.
 
 ``prefill`` runs a prompt through the model once and keeps each layer's
-rotated keys and values; ``step`` then feeds one token at a time, attending
-over the cache instead of re-running the whole prefix. Both work on plain
-numpy arrays and run each layer op on the kernel of the tape primitive that
-``model.forward`` records (``_rms_norm``, ``_rotate_pairs``, ``_masked_softmax``,
-``_swiglu``), so ``prefill`` logits are bit-identical to ``forward``'s.
-``step`` logits agree with the last row of ``forward`` to float rounding only:
-a one-row matmul may take a different BLAS kernel than the full-sequence one.
+rotated keys and values; ``step`` then feeds one token per batch row at a
+time, attending over the cache instead of re-running the whole prefix. Both
+work on plain numpy arrays with a leading batch axis and run each layer op on
+the kernel of the tape primitive that ``model.forward`` records
+(``_rms_norm``, ``_rotate_pairs``, ``_masked_softmax``, ``_swiglu``), so
+``prefill`` logits are bit-identical to ``forward``'s, and each row of a
+batched ``step`` to a batch of one. ``step`` logits agree with the last row of
+``forward`` to float rounding only: a one-row matmul may take a different
+BLAS kernel than the full-sequence one.
 
-``decode`` is the one decoding loop: GRPO temperature sampling and greedy
-evaluation differ only in how they choose a token from the logits.
+``decode`` is the one decoding loop. It advances a round of continuations
+that share one prefill in lockstep; GRPO temperature sampling (a group's
+rollouts, each from its own offset in one random stream) and greedy
+evaluation (a round of one) differ only in how they choose a token from the
+logits.
 """
 
 from __future__ import annotations
@@ -33,27 +38,30 @@ from .tensor import _masked_softmax, _rms_norm, _rotate_pairs, _swiglu
 
 @dataclass
 class KVCache:
-    """Rotated keys and values per layer, each (n_kv_heads, length, head_size)."""
+    """Rotated keys and values per layer, each (batch, n_kv_heads, length, head_size)."""
 
     keys: list
     values: list
 
     @property
     def length(self) -> int:
-        return self.keys[0].shape[1]
+        return self.keys[0].shape[2]
 
-    def copy(self) -> "KVCache":
-        """A cache to extend without touching this one. Shallow: ``_run``
-        replaces list entries and never writes into the cached arrays."""
-        return KVCache(keys=list(self.keys), values=list(self.values))
+    def take(self, rows) -> "KVCache":
+        """A cache of the given batch rows (repeats allowed), to extend without
+        touching this one: indexing copies, and ``_run`` replaces list entries."""
+        rows = np.asarray(rows, dtype=np.int64)
+        return KVCache(keys=[k[rows] for k in self.keys], values=[v[rows] for v in self.values])
 
 
 def _run(ckpt: Checkpoint, tokens: np.ndarray, positions, cache: KVCache, mask) -> np.ndarray:
-    """Logits for ``tokens`` at ``positions``, attending over the cached keys
-    and values (appended to in place) plus their own; ``mask`` is the causal
-    mask among the new tokens, or None when every key is attendable."""
+    """Logits (B, t, vocab) for ``tokens`` (B, t) at ``positions``, attending over
+    the cached keys and values (appended to in place) plus their own; ``mask``
+    is the causal mask among the new tokens, or None when every key is
+    attendable. Every matmul is stacked on the batch axis, so numpy runs the
+    same gemm per row as for a batch of one, and a row's bits do not depend on B."""
     cfg, p = ckpt.config, ckpt.params
-    t_len = len(tokens)
+    b, t_len = tokens.shape
     hs, nh, nkv, group = cfg.head_size, cfg.n_heads, cfg.n_kv_heads, cfg.group_size
     x = p["embed.tok"].data[tokens]
     eps, fill = cfg.rmsnorm_eps, neg_inf_for(x.dtype)
@@ -63,56 +71,78 @@ def _run(ckpt: Checkpoint, tokens: np.ndarray, positions, cache: KVCache, mask) 
     for i in range(cfg.n_layers):
         lw = {k: p[f"layers.{i}.{k}"].data for k in _LAYER_SHAPES}
         h = _rms_norm(x, lw["attn_norm.g"], eps)[0]
-        q = _rotate_pairs((h @ lw["attn.wq"]).reshape(t_len, nh, hs).transpose(1, 0, 2), cos, sin)
-        k = _rotate_pairs((h @ lw["attn.wk"]).reshape(t_len, nkv, hs).transpose(1, 0, 2), cos, sin)
-        v = (h @ lw["attn.wv"]).reshape(t_len, nkv, hs).transpose(1, 0, 2)
+        q = _rotate_pairs((h @ lw["attn.wq"]).reshape(b, t_len, nh, hs).transpose(0, 2, 1, 3), cos, sin)
+        k = _rotate_pairs((h @ lw["attn.wk"]).reshape(b, t_len, nkv, hs).transpose(0, 2, 1, 3), cos, sin)
+        v = (h @ lw["attn.wv"]).reshape(b, t_len, nkv, hs).transpose(0, 2, 1, 3)
         if i < len(cache.keys):
-            k = cache.keys[i] = np.concatenate([cache.keys[i], k], axis=1)
-            v = cache.values[i] = np.concatenate([cache.values[i], v], axis=1)
+            k = cache.keys[i] = np.concatenate([cache.keys[i], k], axis=2)
+            v = cache.values[i] = np.concatenate([cache.values[i], v], axis=2)
         else:
             cache.keys.append(k)
             cache.values.append(v)
-        s_len = k.shape[1]
-        q = q.reshape(nkv, group, t_len, hs)
-        scores = q @ k.reshape(nkv, 1, s_len, hs).transpose(0, 1, 3, 2)
-        out = _masked_softmax(scores, mask, scale, fill)[0] @ v.reshape(nkv, 1, s_len, hs)
-        x = x + out.transpose(2, 0, 1, 3).reshape(t_len, nh * hs) @ lw["attn.wo"]
+        s_len = k.shape[2]
+        q = q.reshape(b, nkv, group, t_len, hs)
+        scores = q @ k.reshape(b, nkv, 1, s_len, hs).transpose(0, 1, 2, 4, 3)
+        out = _masked_softmax(scores, mask, scale, fill)[0] @ v.reshape(b, nkv, 1, s_len, hs)
+        x = x + out.transpose(0, 3, 1, 2, 4).reshape(b, t_len, nh * hs) @ lw["attn.wo"]
         h = _rms_norm(x, lw["ffn_norm.g"], eps)[0]
         x = x + _swiglu(h @ lw["ffn.w_gate"], h @ lw["ffn.w_up"])[0] @ lw["ffn.w_down"]
     return _rms_norm(x, p["final_norm.g"].data, eps)[0] @ p["lm_head"].data
 
 
 def prefill(ckpt: Checkpoint, tokens) -> tuple[np.ndarray, KVCache]:
-    """Logits (T, vocab) for a causal token sequence, and its key/value cache."""
+    """Logits (T, vocab) for a causal token sequence, and its key/value cache
+    (a batch of one)."""
     tokens = check_token_ids(tokens, ckpt.config.vocab_size)
     t_len = len(tokens)
     if t_len == 0:
         raise ValueError("prefill: the prompt is empty")
     cache = KVCache(keys=[], values=[])
     mask = build_attention_mask(np.zeros(t_len, dtype=np.int64))
-    return _run(ckpt, tokens, np.arange(t_len), cache, mask), cache
+    return _run(ckpt, tokens[None], np.arange(t_len), cache, mask)[0], cache
 
 
-def step(ckpt: Checkpoint, token: int, cache: KVCache) -> np.ndarray:
-    """Append one token's keys and values to ``cache``; its logits (vocab,)."""
-    tokens = check_token_ids([token], ckpt.config.vocab_size)
-    return _run(ckpt, tokens, [cache.length], cache, None)[0]
+def step(ckpt: Checkpoint, tokens, cache: KVCache) -> np.ndarray:
+    """Append one token per batch row of ``cache`` to it; their logits (B, vocab)."""
+    tokens = check_token_ids(tokens, ckpt.config.vocab_size)
+    return _run(ckpt, tokens[:, None], [cache.length], cache, None)[:, 0]
 
 
-def decode(ckpt: Checkpoint, prompt, max_new: int, choose, stop=(), prefilled=None) -> list[int]:
-    """Up to ``max_new`` tokens after ``prompt``, each ``choose(logits)`` of the
-    last position; a chosen token in ``stop`` ends the output and stays in it.
+def decode(ckpt: Checkpoint, prompt, max_new: int, choose, stop=(), prefilled=None) -> list[list[int]]:
+    """One round of ``len(choose)`` continuations of ``prompt``, decoded in
+    lockstep: one batched ``step`` per token for all that still run. Row m
+    takes each token as ``choose[m](logits)`` of its last position, and ends
+    at a token in ``stop`` (kept in its output) or after ``max_new`` tokens.
+
+    A round keeps the rows up to the first that ended before ``max_new``
+    tokens and stops decoding the rows after it at that step. This serves a
+    sampler whose row m draws from its stream advanced by m * ``max_new``
+    draws: the rows after an early stop started at the wrong offsets, and the
+    caller redraws them in another round (see ``train.loops.sample_response``).
+    Greedy decoding is a round of one.
+
     ``prefilled`` is ``prefill(ckpt, prompt)`` when the caller already has it:
-    several decodes can start from one prefill, since each extends a copy."""
+    several rounds can start from one prefill, since each copies its cache."""
     stop = {int(s) for s in stop}
     logits, cache = prefill(ckpt, prompt) if prefilled is None else prefilled
-    cache = cache.copy()
-    last = logits[-1]
-    out: list[int] = []
+    outs: list[list[int]] = [[] for _ in choose]
+    live = list(range(len(choose)))  # rows still decoding, in order
+    cache = cache.take([0] * len(live))
+    last = np.broadcast_to(logits[-1], (len(live), logits.shape[-1]))
+    kept = len(choose)
     for n in range(max_new):
         if n:
-            last = step(ckpt, out[-1], cache)
-        out.append(int(choose(last)))
-        if out[-1] in stop:
+            last = step(ckpt, [outs[m][-1] for m in live], cache)
+        for m, row in zip(live, last):
+            if m >= kept:
+                break  # behind a row that stopped early at this step
+            outs[m].append(int(choose[m](row)))
+            if outs[m][-1] in stop and n + 1 < max_new:
+                kept = m + 1
+        still = [j for j, m in enumerate(live) if m < kept and outs[m][-1] not in stop]
+        if len(still) < len(live):
+            live = [live[j] for j in still]
+            cache = cache.take(still)
+        if not live:
             break
-    return out
+    return outs[:kept]

@@ -151,7 +151,7 @@ def generate_greedy(ckpt: Checkpoint, context, max_new: int, stop=()) -> list[in
     if not len(context):
         raise ValueError("context is empty")
     stop = set(int(s) for s in stop)
-    out = decode(ckpt, context, max_new, np.argmax, stop)
+    out = decode(ckpt, context, max_new, [np.argmax], stop)[0]
     if out and out[-1] in stop:
         out.pop()
     return out

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import ctypes
 import platform
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -308,28 +308,85 @@ def load_rl_dataset(path) -> list[dict]:
     return read_records(path, _rl_problem, "RL record")
 
 
+@dataclass
+class GroupRollouts:
+    """What the rollouts of one group share: ``prefill(ckpt, prompt_ids)``, the
+    number of rollouts still to sample, and the rollouts the last round drew
+    ahead of their ``sample_response`` calls, by the stream position each
+    starts from."""
+
+    prefilled: tuple
+    left: int
+    drawn: dict = field(default_factory=dict)
+
+
+def _position(state: dict) -> tuple:
+    """Where a PCG64 stream stands, from its ``bit_generator.state``."""
+    return state["state"]["state"], state["state"]["inc"]
+
+
+def _streams(bg, step: int, n: int) -> list:
+    """Copies of bg's stream moved on by 0, step, .., (n - 1) * step 64-bit draws."""
+    state, out = bg.state, []
+    for m in range(n):
+        copy = type(bg)(0)  # a fixed seed is cheaper than OS entropy; the state is replaced
+        copy.state = state
+        out.append(np.random.Generator(copy.advance(m * step)))
+    return out
+
+
 def sample_response(
     ckpt: Checkpoint, prompt_ids, rng, max_tokens: int, temperature: float,
     stop_id: int, suppress=(), prefilled=None,
 ):
-    """Temperature sampling until the stop token or the budget. The stop
+    """Temperature sampling until the stop token or the budget, one
+    ``rng.choice`` (one 64-bit draw of a PCG64 stream) per token. The stop
     token, when drawn, stays in the returned ids so every response has at
-    least one scored action; ids in suppress are never drawn. ``prefilled``
-    is ``prefill(ckpt, prompt_ids)``, shared by the rollouts of a group."""
+    least one scored action; ids in suppress are never drawn.
+
+    ``prefilled`` is the ``GroupRollouts`` of the rollouts of a group, which
+    call this once each, in order, with one ``rng``. When the last round drew
+    no rollout from where ``rng`` stands, a new round decodes all the rollouts
+    still to sample in lockstep (``decode.decode``): rollout m of the round
+    draws from a copy of ``rng`` advanced by m * ``max_tokens`` draws, its
+    offset if every rollout before it takes the full budget. The round keeps
+    the rollouts up to the first that stopped early; the next rounds redraw
+    the rest from their true offsets. Each call returns the rollout that
+    starts where ``rng`` stands and advances ``rng`` past its draws, so the
+    tokens and the stream's end state are those of sampling the rollouts one
+    after another."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
+    bg = rng.bit_generator
+    if not isinstance(bg, np.random.PCG64):  # its advance(n) skips n draws; Philox's skips blocks
+        raise ValueError(f"sample_response needs a PCG64 stream, which can advance by draws, "
+                         f"got {type(bg).__name__}")
     suppress = list(suppress)
+    group = GroupRollouts(prefill(ckpt, prompt_ids), 1) if prefilled is None else prefilled
 
-    def draw(logits):
-        logits = logits.astype(np.float64) / temperature
-        if suppress:
-            logits[suppress] = -np.inf
-        z = logits - logits.max()
-        p = np.exp(z)
-        p /= p.sum()
-        return rng.choice(len(p), p=p)
+    def drawer(stream):
+        def draw(logits):
+            logits = logits.astype(np.float64) / temperature
+            if suppress:
+                logits[suppress] = -np.inf
+            z = logits - logits.max()
+            p = np.exp(z)
+            p /= p.sum()
+            return stream.choice(len(p), p=p)
+        return draw
 
-    return decode(ckpt, prompt_ids, max_tokens, draw, stop=(stop_id,), prefilled=prefilled)
+    state = bg.state
+    start = _position(state)
+    if start not in group.drawn:
+        streams = _streams(bg, max_tokens, max(group.left, 1))
+        keys = [_position(s.bit_generator.state) for s in streams]
+        outs = decode(ckpt, prompt_ids, max_tokens, [drawer(s) for s in streams], (stop_id,), group.prefilled)
+        group.drawn = dict(zip(keys, outs))
+    resp = group.drawn.pop(start)
+    group.left -= 1
+    bg.advance(len(resp))  # this also clears the buffered 32-bit half, which rng.choice leaves alone
+    bg.state = {**bg.state, "has_uint32": state["has_uint32"], "uinteger": state["uinteger"]}
+    return resp
 
 
 def token_logprobs(ckpt: Checkpoint, tokens, from_pos: int):
@@ -379,6 +436,13 @@ def train_grpo(
     are the values of the taped policy pass itself: no update runs between
     sampling and that pass, and a taped forward computes the same bits as
     a tape-free one.
+
+    A group's rollouts share one prefill of the prompt and one named stream
+    (``grpo/step{s}/slot{k}``), from which ``sample_response`` draws them in
+    lockstep rounds, each rollout from its own offset in the stream: the
+    same rollouts as sampling them one after another. A group takes one
+    round when no rollout stops before ``max_tokens``, and one more for each
+    rollout that does and is followed by others.
     """
     if not problems:
         raise ValueError("no problems to train on")
@@ -392,11 +456,11 @@ def train_grpo(
         prompt_ids = list(render_chat(ChatSample(list(problem["prompt"])), tok).token_ids)
         prompt_ids.append(tok.special_id("<|assistant|>"))
         rng = named_rng(seed, f"grpo/step{step}/slot{slot}")
-        prefilled = prefill(ckpt, prompt_ids)  # once: the rollouts share the prompt
+        shared = GroupRollouts(prefill(ckpt, prompt_ids), group_size)  # one prefill per group
         rollouts, rewards = [], []
         for _ in range(group_size):
             resp = sample_response(ckpt, prompt_ids, rng, max_tokens, temperature, stop_id, suppress,
-                                   prefilled)
+                                   shared)
             text = _response_text(tok, resp, stop_id)
             rewards.append(float(verify(problem["verifier"], text, problem["truth"]).reward))
             rollouts.append(prompt_ids + resp)

@@ -30,9 +30,11 @@ def clip_grad_norm(
     grads: dict[str, np.ndarray], max_norm: float = 1.0
 ) -> tuple[dict[str, np.ndarray], float]:
     """Scale all gradients by max_norm/norm when the global L2 norm exceeds it.
+    The arrays are scaled in place (``g *= scale``, the same multiply as
+    ``g * scale``), so clipping allocates no second set of gradients.
 
-    Returns (possibly scaled grads, pre-clip global norm). Non-finite
-    gradients are an error naming the offending parameter.
+    Returns (grads, pre-clip global norm). Non-finite gradients are an error
+    naming the offending parameter.
     """
     if max_norm <= 0:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
@@ -45,7 +47,9 @@ def clip_grad_norm(
     if norm <= max_norm:
         return grads, norm
     scale = max_norm / norm
-    return {name: g * scale for name, g in grads.items()}, norm
+    for g in grads.values():
+        g *= scale
+    return grads, norm
 
 
 def adamw_step(

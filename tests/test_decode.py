@@ -1,7 +1,9 @@
 """Cached decoding against the full-recompute reference: prefill logits are
 bit-identical to ``forward``, cached steps match it at a stated tolerance,
-and sampling and greedy generation draw the same tokens as a loop that
-re-runs ``forward`` over the whole prefix for every token."""
+a batched step's rows are bit-identical to single-sequence steps, and
+sampling (rollouts of a group in lockstep rounds) and greedy generation draw
+the same tokens as a loop that re-runs ``forward`` over the whole prefix for
+every token."""
 
 from pathlib import Path
 
@@ -14,7 +16,7 @@ from forge.evalharness import generate_greedy
 from forge.model import ModelConfig, forward, init_params
 from forge.rng import named_rng
 from forge.train import loops
-from forge.train.loops import TrainSettings, load_rl_dataset, sample_response, train_grpo
+from forge.train.loops import GroupRollouts, TrainSettings, load_rl_dataset, sample_response, train_grpo
 from forge.train.schedule import ScheduleSpec
 
 TOK = allocate_chat_specials([], n_reserved=8)
@@ -26,6 +28,8 @@ SHAPES = {
     # four query heads per KV head
     "gqa": dict(n_layers=3, d_model=64, n_heads=8, n_kv_heads=2, head_size=8, d_ff=128),
 }
+# the benchmark's desk shape (vocabulary 2048), where BLAS may pick other kernels
+DESK = dict(n_layers=4, d_model=256, n_heads=8, n_kv_heads=4, head_size=32, d_ff=1024)
 # float32 step logits differ from forward's last row by BLAS rounding only
 # (a one-row matmul takes another kernel); float64 shrinks that to ~1e-15
 STEP_ATOL = {np.float32: 1e-5, np.float64: 1e-12}
@@ -35,8 +39,9 @@ def make_ckpt(shape="toy", dtype=np.float32, seed=7, scale=1.0):
     """scale multiplies every weight but the norm gains. At init scale the
     logits are so flat that a wrong position or cache entry rarely changes
     a drawn token; at 5 it changes nearly every sequence."""
-    cfg = ModelConfig(vocab_size=TOK.vocab_size, rope_theta=1e4, native_ctx=128,
-                      extended_ctx=512, rmsnorm_eps=1e-6, **SHAPES[shape])
+    dims, vocab = (DESK, 2048) if shape == "desk" else (SHAPES[shape], TOK.vocab_size)
+    cfg = ModelConfig(vocab_size=vocab, rope_theta=1e4, native_ctx=128,
+                      extended_ctx=512, rmsnorm_eps=1e-6, **dims)
     ckpt = init_params(cfg, named_rng(seed, "decode-test"), dtype=dtype)
     for name, p in ckpt.params.items():
         if not name.endswith(".g"):
@@ -69,7 +74,7 @@ def test_cached_steps_match_full_recompute(shape, dtype):
     tokens = random_tokens(30, "steps")
     _, cache = decode.prefill(ckpt, tokens[:5])
     for t in range(5, len(tokens)):
-        logits = decode.step(ckpt, tokens[t], cache)
+        logits = decode.step(ckpt, [tokens[t]], cache)[0]
         assert cache.length == t + 1
         want = forward(ckpt, tokens[: t + 1]).numpy()[-1]
         assert logits.dtype == want.dtype
@@ -139,7 +144,7 @@ def test_out_of_range_ids_raise_value_error():
             generate_greedy(ckpt, bad, 4)
     _, cache = decode.prefill(ckpt, [1, 2])
     with pytest.raises(ValueError, match="out of range"):
-        decode.step(ckpt, vocab, cache)
+        decode.step(ckpt, [vocab], cache)
     assert cache.length == 2
 
 
@@ -193,9 +198,95 @@ def test_rollouts_from_one_prefill_match_their_own_prefills():
     ckpt = make_ckpt(scale=5.0)
     prompt = random_tokens(6, "shared-prompt")
     stop = TOK.special_id("<|end|>")
-    shared = decode.prefill(ckpt, prompt)
+    shared = GroupRollouts(decode.prefill(ckpt, prompt), 4)
     rng_a, rng_b = named_rng(9, "rollouts"), named_rng(9, "rollouts")
     for _ in range(4):
         from_shared = sample_response(ckpt, prompt, rng_a, 8, 1.0, stop, (), shared)
         assert from_shared == sample_response(ckpt, prompt, rng_b, 8, 1.0, stop)
-    assert shared[1].length == len(prompt)
+    assert shared.prefilled[1].length == len(prompt)
+    assert shared.left == 0
+
+
+@pytest.mark.parametrize("shape", ["toy", "desk"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batched_step_rows_are_bit_identical_to_single_steps(shape, dtype):
+    # the rows of one batched step, then of rows dropped from the batch, each
+    # against a batch of one fed the same tokens
+    ckpt = make_ckpt(shape, dtype)
+    vocab = ckpt.config.vocab_size
+    logits, cache = decode.prefill(ckpt, random_tokens(9, "batched-prompt"))
+    feeds = named_rng(1, "batched-feeds").integers(0, vocab, (5, 4))
+    batch = cache.take([0] * len(feeds))
+    got = [decode.step(ckpt, feeds[:, 0], batch), decode.step(ckpt, feeds[:, 1], batch)]
+    batch = batch.take([0, 2, 4])
+    got += [decode.step(ckpt, feeds[::2, n], batch) for n in (2, 3)]
+    for m, feed in enumerate(feeds):
+        single = cache.take([0])
+        for n, rows in enumerate(got):
+            if n >= 2 and m % 2:
+                break
+            want = decode.step(ckpt, [feed[n]], single)
+            assert want.shape == (1, vocab) and want.dtype == dtype
+            assert np.array_equal(rows[m if n < 2 else m // 2], want[0])
+    assert cache.length == 9 and batch.length == 13
+
+
+@pytest.mark.parametrize("stop_at,kept", [(1, 2), (4, 4)])
+def test_a_round_keeps_the_rows_up_to_the_first_early_stop(stop_at, kept):
+    # row 1 draws the stop token at step stop_at of 5; the others never do
+    ckpt = make_ckpt()
+    calls = [0] * 4
+
+    def chooser(m):
+        def choose(logits):
+            calls[m] += 1
+            return 9 if m == 1 and calls[m] == stop_at + 1 else 3
+        return choose
+
+    outs = decode.decode(ckpt, [1, 2], 5, [chooser(m) for m in range(4)], stop=[9])
+    assert outs[:2] == [[3] * 5, [3] * stop_at + [9]]
+    assert len(outs) == kept
+    # a stop before the budget ends rows 2 and 3 before they choose at that step
+    assert calls == ([5, 2, 1, 1] if kept == 2 else [5, 5, 5, 5])
+
+
+def test_sample_response_needs_a_stream_that_advances_by_draws():
+    ckpt = make_ckpt()
+    for bit_generator in (np.random.MT19937(0), np.random.SFC64(0)):
+        name = type(bit_generator).__name__
+        with pytest.raises(ValueError, match=f"got {name}$"):
+            sample_response(ckpt, [1, 2], np.random.Generator(bit_generator), 4, 1.0, 0)
+
+
+@pytest.mark.parametrize("group_size", [1, 2, 8])
+@pytest.mark.parametrize("budget", [1, 12])
+def test_lockstep_rollouts_match_sequential_sampling(monkeypatch, group_size, budget):
+    # a raised stop-token column makes most rollouts stop before 12 tokens,
+    # so most groups of 2 or 8 need more than one round
+    ckpt = make_ckpt()
+    stop = TOK.special_id("<|end|>")
+    ckpt.params["lm_head"].data[:, stop] += np.float32(1.0)
+    suppress = [i for i in range(TOK.base_size, TOK.vocab_size) if i != stop]
+    rounds = []
+    monkeypatch.setattr(loops, "decode", lambda *args: rounds.append(1) or decode.decode(*args))
+    per_group = []
+    for seed in range(20):
+        prompt = random_tokens(6, f"lockstep{seed}")
+        name = f"lockstep/seed{seed}"
+        rng_a, rng_b = named_rng(seed, name), named_rng(seed, name)
+        if seed % 2:  # a buffered 32-bit half, which rng.choice leaves alone
+            rng_a.integers(0, 7, dtype=np.uint32)
+            rng_b.integers(0, 7, dtype=np.uint32)
+        shared = GroupRollouts(decode.prefill(ckpt, prompt), group_size)
+        before = len(rounds)
+        got = [sample_response(ckpt, prompt, rng_a, budget, 1.0, stop, suppress, shared)
+               for _ in range(group_size)]
+        per_group.append(len(rounds) - before)
+        want = [reference_sample(ckpt, prompt, rng_b, budget, 1.0, stop, suppress)
+                for _ in range(group_size)]
+        assert got == want
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    if group_size == 1 or budget == 1:  # no rollout can stop before the budget with others after it
+        assert per_group == [1] * 20
+    else:
+        assert max(per_group) >= 2

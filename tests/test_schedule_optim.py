@@ -103,6 +103,19 @@ def test_clip_scales_when_over():
     np.testing.assert_allclose(clipped["a"], [1.0, 0.0])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_clip_scales_the_input_arrays_in_place(dtype):
+    rng = np.random.default_rng(1)
+    grads = {f"p{i}": (rng.standard_normal((4, 3)) * 3).astype(dtype) for i in range(3)}
+    inputs, copies = dict(grads), {k: g.copy() for k, g in grads.items()}
+    clipped, norm = clip_grad_norm(grads, max_norm=1.0)
+    scale = 1.0 / norm
+    for k, g in clipped.items():
+        assert g is inputs[k]
+        assert g.dtype == dtype
+        assert np.array_equal(g, copies[k] * scale)
+
+
 def test_clip_noop_when_under():
     grads = {"a": np.array([0.3, 0.4])}  # norm .5
     clipped, norm = clip_grad_norm(grads, max_norm=1.0)
