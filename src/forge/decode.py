@@ -1,15 +1,18 @@
 """Tape-free decoding with a per-layer key/value cache.
 
-``prefill`` runs a prompt through the model once and keeps each layer's
-rotated keys and values; ``step`` then feeds one token per batch row at a
-time, attending over the cache instead of re-running the whole prefix. Both
-work on plain numpy arrays with a leading batch axis and run each layer op on
-the kernel of the tape primitive that ``model.forward`` records
-(``_rms_norm``, ``_rotate_pairs``, ``_masked_softmax``, ``_swiglu``), so
-``prefill`` logits are bit-identical to ``forward``'s, and each row of a
-batched ``step`` to a batch of one. ``step`` logits agree with the last row of
-``forward`` to float rounding only: a one-row matmul may take a different
-BLAS kernel than the full-sequence one.
+``prefill``, ``extend`` and ``step`` are one ``_run`` with three masks.
+``extend`` appends a block of t tokens per batch row to a cache of length L
+under ``np.tri(t, L + t, L)``: each new token sees every cached key, and the
+block is causal within itself. ``prefill`` is ``extend`` on an empty cache,
+whose mask is then the causal triangle that ``forward`` uses; ``step`` feeds
+one token per row and needs no mask. All work on plain numpy arrays with a
+leading batch axis and run each layer op on the kernel of the tape primitive
+that ``model.forward`` records (``_rms_norm``, ``_rotate_pairs``,
+``_masked_softmax``, ``_swiglu``), so ``prefill`` logits are bit-identical to
+``forward``'s, and each row of a batched ``extend`` or ``step`` to a batch of
+one. ``extend`` and ``step`` logits agree with the matching rows of
+``forward`` to float rounding only: a matmul over fewer rows may take a
+different BLAS kernel than the full-sequence one.
 
 ``decode`` is the one decoding loop. It advances a round of continuations
 that share one prefill in lockstep; GRPO temperature sampling (a group's
@@ -28,7 +31,6 @@ import numpy as np
 from .model import (
     _LAYER_SHAPES,
     Checkpoint,
-    build_attention_mask,
     check_token_ids,
     neg_inf_for,
     rope_frequencies,
@@ -45,7 +47,7 @@ class KVCache:
 
     @property
     def length(self) -> int:
-        return self.keys[0].shape[2]
+        return self.keys[0].shape[2] if self.keys else 0
 
     def take(self, rows) -> "KVCache":
         """A cache of the given batch rows (repeats allowed), to extend without
@@ -53,13 +55,19 @@ class KVCache:
         rows = np.asarray(rows, dtype=np.int64)
         return KVCache(keys=[k[rows] for k in self.keys], values=[v[rows] for v in self.values])
 
+    def trim(self, length: int) -> "KVCache":
+        """The first ``length`` positions of every row, as views: ``_run``
+        replaces list entries and never writes into them, so extending the
+        trimmed cache leaves this one as it was."""
+        return KVCache(keys=[k[:, :, :length] for k in self.keys], values=[v[:, :, :length] for v in self.values])
+
 
 def _run(ckpt: Checkpoint, tokens: np.ndarray, positions, cache: KVCache, mask) -> np.ndarray:
     """Logits (B, t, vocab) for ``tokens`` (B, t) at ``positions``, attending over
     the cached keys and values (appended to in place) plus their own; ``mask``
-    is the causal mask among the new tokens, or None when every key is
-    attendable. Every matmul is stacked on the batch axis, so numpy runs the
-    same gemm per row as for a batch of one, and a row's bits do not depend on B."""
+    is (t, cached + t), or None when every key is attendable. Every matmul is
+    stacked on the batch axis, so numpy runs the same gemm per row as for a
+    batch of one, and a row's bits do not depend on B."""
     cfg, p = ckpt.config, ckpt.params
     b, t_len = tokens.shape
     hs, nh, nkv, group = cfg.head_size, cfg.n_heads, cfg.n_kv_heads, cfg.group_size
@@ -90,16 +98,27 @@ def _run(ckpt: Checkpoint, tokens: np.ndarray, positions, cache: KVCache, mask) 
     return _rms_norm(x, p["final_norm.g"].data, eps)[0] @ p["lm_head"].data
 
 
+def extend(ckpt: Checkpoint, tokens, cache: KVCache) -> np.ndarray:
+    """Append ``tokens`` (B, t) to the B rows of ``cache`` at positions
+    L..L+t-1; their logits (B, t, vocab). Each new token sees every cached
+    key, and the new tokens see each other causally."""
+    tokens = np.asarray(tokens, dtype=np.int64)
+    if tokens.ndim != 2 or tokens.shape[1] == 0:
+        raise ValueError(f"extend: tokens must be (batch, t) with t >= 1, got shape {tokens.shape}")
+    check_token_ids(tokens.reshape(-1), ckpt.config.vocab_size)
+    start, t_len = cache.length, tokens.shape[1]
+    mask = np.tri(t_len, start + t_len, start, dtype=bool)
+    return _run(ckpt, tokens, np.arange(start, start + t_len), cache, mask)
+
+
 def prefill(ckpt: Checkpoint, tokens) -> tuple[np.ndarray, KVCache]:
     """Logits (T, vocab) for a causal token sequence, and its key/value cache
-    (a batch of one)."""
+    (a batch of one): ``extend`` on an empty cache."""
     tokens = check_token_ids(tokens, ckpt.config.vocab_size)
-    t_len = len(tokens)
-    if t_len == 0:
+    if len(tokens) == 0:
         raise ValueError("prefill: the prompt is empty")
     cache = KVCache(keys=[], values=[])
-    mask = build_attention_mask(np.zeros(t_len, dtype=np.int64))
-    return _run(ckpt, tokens[None], np.arange(t_len), cache, mask)[0], cache
+    return extend(ckpt, tokens[None], cache)[0], cache
 
 
 def step(ckpt: Checkpoint, tokens, cache: KVCache) -> np.ndarray:

@@ -9,6 +9,13 @@ items of the file, in file order, and are never scored themselves.
 Scores are raw summed log-probs per choice (no per-byte length
 normalization); baselines default to 1/num_choices for choice tasks and
 0 for generative ones since published normalization constants vary.
+
+Choice scoring reuses cached prefixes (``forge.decode``): a task prefills
+its exemplar block once, each item extends a copy of that cache by its own
+context, and each bucket of equal-length choices is one batched
+``extend``. The scores agree with teacher forcing each choice through
+``forward`` (``sequence_logprobs``, the tests' reference) to float
+rounding, not bitwise.
 """
 
 from __future__ import annotations
@@ -23,8 +30,8 @@ import numpy as np
 
 from . import tensor as T
 from .datapipe.records import read_records
-from .decode import decode
-from .model import Checkpoint, forward
+from .decode import KVCache, decode, extend, prefill
+from .model import Checkpoint, check_token_ids, forward
 
 MODES = ("loglikelihood", "generate")
 METRICS = ("accuracy", "f1_binary", "f1_macro", "levenshtein", "exact_match")
@@ -126,21 +133,51 @@ def sequence_logprobs(ckpt: Checkpoint, tokens) -> np.ndarray:
     return T.sum_(T.target_logprobs(logits, tokens[1:]), axis=-1).numpy()
 
 
-def loglikelihood_choice(ckpt: Checkpoint, context, choices):
+def loglikelihood_choice(ckpt: Checkpoint, context, choices, prefix=None):
     """(winning index, per-choice summed log-probs); teacher-forced scoring
-    of each choice behind the shared context, ties going to the lowest index."""
+    of each choice behind the shared context, ties going to the lowest index.
+
+    ``prefix`` is ``(tokens, cache)`` for tokens that start ``context`` and
+    their ``decode.prefill`` cache, e.g. a task's exemplar block; a copy of
+    it is extended by the rest of the context. The choices are then run as
+    one ``extend`` per length, on copies of the context's cache, and every
+    choice token's log-prob goes through ``target_logprobs`` as in
+    ``sequence_logprobs``. Scores agree with a ``forward`` per choice to
+    float rounding, not bitwise: a cached run multiplies fewer rows at a time."""
     if len(choices) < 2:
         raise ValueError("need at least two choices")
     if not len(context):
         raise ValueError("context is empty; choices need a conditioning prefix")
-    context = list(context)
-    scores = np.empty(len(choices), dtype=np.float64)
+    vocab = ckpt.config.vocab_size
+    context = check_token_ids(context, vocab)
+    choices = [check_token_ids(c, vocab) for c in choices]
     for k, choice in enumerate(choices):
         if not len(choice):
             raise ValueError(f"choice {k} is empty")
-        lp = sequence_logprobs(ckpt, context + list(choice))
-        scores[k] = lp[len(context) - 1 :].sum()
+    cache, keep = KVCache(keys=[], values=[]), 0
+    if prefix is not None:
+        head, cached = prefix
+        head = np.asarray(head, dtype=np.int64)
+        if len(head) > len(context) or not np.array_equal(head, context[: len(head)]):
+            raise ValueError("prefix tokens do not start the context")
+        keep = len(head) - (len(head) == len(context))  # the last context row needs its logits
+        cache = cached.trim(keep)
+    last = extend(ckpt, context[None, keep:], cache)[0, -1:]
+    firsts = _row_logprobs(np.repeat(last, len(choices), axis=0), [c[0] for c in choices])
+    scores = firsts.astype(np.float64)  # a 1-token choice needs no run
+    for n in sorted({len(c) for c in choices} - {1}):
+        bucket = [k for k, c in enumerate(choices) if len(c) == n]
+        feed = np.stack([choices[k] for k in bucket])
+        logits = extend(ckpt, feed[:, :-1], cache.take([0] * len(bucket)))
+        rest = _row_logprobs(logits.reshape(-1, vocab), feed[:, 1:].reshape(-1)).reshape(len(bucket), n - 1)
+        for k, row in zip(bucket, rest):
+            scores[k] = np.concatenate([firsts[k : k + 1], row]).sum()
     return int(np.argmax(scores)), scores
+
+
+def _row_logprobs(logits: np.ndarray, targets) -> np.ndarray:
+    """log p(targets[i]) under logits row i, by ``sequence_logprobs``'s arithmetic."""
+    return T.sum_(T.target_logprobs(T.Tensor(logits), targets), axis=-1).numpy()
 
 
 def generate_greedy(ckpt: Checkpoint, context, max_new: int, stop=()) -> list[int]:
@@ -215,21 +252,28 @@ def _exemplar_tokens(task: Task, item) -> list[int]:
     return list(item["context"]) + list(gold)
 
 
+def exemplar_block(task: Task) -> list[int]:
+    """The n_shot exemplars in file order, each context then gold."""
+    return [t for ex in task.exemplars() for t in _exemplar_tokens(task, ex)]
+
+
 def build_prompt(task: Task, item) -> list[int]:
     """Scored-item context behind exactly n_shot exemplars in file order."""
-    prompt: list[int] = []
-    for ex in task.exemplars():
-        prompt.extend(_exemplar_tokens(task, ex))
-    prompt.extend(item["context"])
-    return prompt
+    return exemplar_block(task) + list(item["context"])
 
 
 def run_task(ckpt: Checkpoint, task: Task) -> float:
+    """The task's metric over its scored items. A loglikelihood task with
+    exemplars prefills their block once and scores every item from it."""
     predictions, golds = [], []
+    prefix = None
+    if task.mode == "loglikelihood" and task.n_shot:
+        head = exemplar_block(task)
+        prefix = (head, prefill(ckpt, head)[1])
     for item in task.scored_items():
         prompt = build_prompt(task, item)
         if task.mode == "loglikelihood":
-            idx, _ = loglikelihood_choice(ckpt, prompt, item["choices"])
+            idx, _ = loglikelihood_choice(ckpt, prompt, item["choices"], prefix)
             predictions.append(idx)
             golds.append(item["gold"])
         else:

@@ -556,6 +556,31 @@ def test_eval_monitor_csv_for_other_tasks_is_data_error(workdir, capsys):
     assert err.startswith("forge: data-error: monitoring CSV header") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("where,bad", [
+    ("choice", [TOK.vocab_size]),  # a 1-token choice is scored without a model run
+    ("choice", [5, TOK.vocab_size]),  # a choice's last token is only a target
+    ("choice", [-1]),
+    ("exemplar", [5, TOK.vocab_size]),  # in the block prefilled once per task
+])
+def test_exit_3_on_out_of_range_token_id_in_eval_item(workdir, capsys, where, bad):
+    enc = TOK.encode
+    items = [{"context": enc(f"{k}+1="), "choices": [enc(str(k + 1)), enc("0")], "gold": 0}
+             for k in range(6)]
+    if where == "choice":
+        items[5]["choices"][1] = bad
+    else:
+        items[2]["context"] = enc("2") + bad
+    (workdir / "ll.jsonl").write_text("".join(json.dumps(it) + "\n" for it in items), encoding="utf-8")
+    write_json(workdir / "suite.json", {"tasks": [
+        {"name": "arith_ll", "file": "ll.jsonl", "mode": "loglikelihood", "metric": "accuracy", "n_shot": 5},
+    ]})
+    p = write_json(workdir / "e.json", EVAL_BASE)
+    assert run("eval", p, environ={}) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("forge: data-error: token id") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
 # every leaf has a kind
 
 

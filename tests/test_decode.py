@@ -1,6 +1,7 @@
 """Cached decoding against the full-recompute reference: prefill logits are
-bit-identical to ``forward``, cached steps match it at a stated tolerance,
-a batched step's rows are bit-identical to single-sequence steps, and
+bit-identical to ``forward``, cached extends and steps match it at a stated
+tolerance, a batched extend's or step's rows are bit-identical to
+single-sequence ones, and
 sampling (rollouts of a group in lockstep rounds) and greedy generation draw
 the same tokens as a loop that re-runs ``forward`` over the whole prefix for
 every token."""
@@ -79,6 +80,52 @@ def test_cached_steps_match_full_recompute(shape, dtype):
         want = forward(ckpt, tokens[: t + 1]).numpy()[-1]
         assert logits.dtype == want.dtype
         np.testing.assert_allclose(logits, want, rtol=0, atol=STEP_ATOL[dtype])
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_extend_matches_forward_and_prefill(shape, dtype):
+    # extend(prefill(a), b): its logits against forward(a + b)'s last rows,
+    # its cache against prefill(a + b)'s, both at STEP_ATOL
+    ckpt = make_ckpt(shape, dtype)
+    for n_a, n_b in ((1, 1), (1, 9), (12, 1), (17, 23)):
+        tokens = random_tokens(n_a + n_b, f"extend{n_a}-{n_b}")
+        _, cache = decode.prefill(ckpt, tokens[:n_a])
+        logits = decode.extend(ckpt, [tokens[n_a:]], cache)
+        want = forward(ckpt, tokens).numpy()[n_a:]
+        assert logits.shape == (1, n_b, ckpt.config.vocab_size) and logits.dtype == want.dtype
+        np.testing.assert_allclose(logits[0], want, rtol=0, atol=STEP_ATOL[dtype])
+        _, full = decode.prefill(ckpt, tokens)
+        assert cache.length == full.length == n_a + n_b
+        for got, ref in zip(cache.keys + cache.values, full.keys + full.values):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=STEP_ATOL[dtype])
+
+
+@pytest.mark.parametrize("shape", ["toy", "desk"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batched_extend_rows_are_bit_identical_to_single_extends(shape, dtype):
+    ckpt = make_ckpt(shape, dtype)
+    _, cache = decode.prefill(ckpt, random_tokens(11, "extend-prompt"))
+    for t_len in (1, 6):
+        feeds = named_rng(t_len, "extend-feeds").integers(0, ckpt.config.vocab_size, (4, t_len))
+        batch = cache.take([0] * len(feeds))
+        rows = decode.extend(ckpt, feeds, batch)
+        for m, feed in enumerate(feeds):
+            single = cache.take([0])
+            want = decode.extend(ckpt, feed[None], single)
+            assert np.array_equal(rows[m], want[0])
+            for got, ref in zip(batch.keys + batch.values, single.keys + single.values):
+                assert np.array_equal(got[m], ref[0])
+    assert cache.length == 11
+
+
+def test_extend_rejects_bad_tokens():
+    ckpt = make_ckpt()
+    _, cache = decode.prefill(ckpt, [1, 2])
+    for bad in ([[1, ckpt.config.vocab_size]], [[-1]], [1, 2], [[]]):
+        with pytest.raises(ValueError):
+            decode.extend(ckpt, bad, cache.take([0]))
+    assert cache.length == 2
 
 
 def reference_sample(ckpt, prompt_ids, rng, max_tokens, temperature, stop_id, suppress=()):

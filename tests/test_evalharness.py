@@ -1,4 +1,9 @@
-"""Eval harness tests: scoring oracles, metric formulas, suite determinism."""
+"""Eval harness tests: scoring oracles, metric formulas, suite determinism.
+
+Cached choice scoring is checked against the per-choice reference,
+``sequence_logprobs`` over context + choice (one ``forward`` each): within
+abs 1e-12 in float64 and rel 1e-6 in float32, with duplicate choices tying
+exactly."""
 
 import json
 from functools import lru_cache
@@ -8,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forge import evalharness
+from forge.decode import prefill
 from forge.evalharness import (
     EvalReport,
     Task,
@@ -57,7 +64,81 @@ def marker_ckpt():
     return ckpt
 
 
+@lru_cache(maxsize=None)
+def oracle_ckpt(dtype):
+    """Weights but the norm gains at 4x init scale: log-probs far from
+    uniform, so a wrong row, position or cache entry moves a score, and every
+    choice score below -2, so a relative tolerance stays meaningful."""
+    ckpt = init_params(toy_config(), named_rng(0, "eval-oracle"), dtype=dtype)
+    for name, p in ckpt.params.items():
+        if not name.endswith(".g"):
+            p.data *= dtype(4)
+    return ckpt
+
+
 # --- loglikelihood_choice ---
+
+token_ids = st.integers(0, VOCAB - 1)
+
+
+@st.composite
+def choice_cases(draw):
+    """(context, choices, cut): cut 0 scores without a prefix, 0 < cut <
+    len(context) from a shorter one, cut == len(context) from the context."""
+    context = draw(st.lists(token_ids, min_size=1, max_size=12))
+    length = draw(st.one_of(st.none(), st.integers(1, 4)))  # None mixes lengths
+    lengths = st.integers(1, 5) if length is None else st.just(length)
+    choices = draw(st.lists(lengths.flatmap(lambda n: st.lists(token_ids, min_size=n, max_size=n)),
+                            min_size=2, max_size=5))
+    if draw(st.booleans()):
+        choices.insert(draw(st.integers(0, len(choices))), choices[draw(st.integers(0, len(choices) - 1))])
+    return context, choices, draw(st.integers(0, len(context)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([np.float64, np.float32]), choice_cases())
+def test_cached_choice_scores_match_per_choice_teacher_forcing(dtype, case):
+    context, choices, cut = case
+    ckpt = oracle_ckpt(dtype)
+    prefix = None if cut == 0 else (context[:cut], prefill(ckpt, context[:cut])[1])
+    idx, scores = loglikelihood_choice(ckpt, context, choices, prefix)
+    want = [sequence_logprobs(ckpt, context + c)[len(context) - 1 :].sum() for c in choices]
+    assert scores.dtype == np.float64
+    if dtype == np.float64:
+        np.testing.assert_allclose(scores, want, rtol=0, atol=1e-12)
+    else:
+        np.testing.assert_allclose(scores, want, rtol=1e-6, atol=0)
+    for k, choice in enumerate(choices):
+        assert scores[k] == scores[choices.index(choice)]  # duplicates tie exactly
+    assert idx == int(np.argmax(scores))
+    if prefix is not None:
+        assert prefix[1].length == cut  # scoring extends a copy
+
+
+def test_prefix_must_start_the_context():
+    ckpt = random_ckpt()
+    prefix = ([1, 2], prefill(ckpt, [1, 2])[1])
+    with pytest.raises(ValueError, match="prefix"):
+        loglikelihood_choice(ckpt, [1, 3, 4], [[5], [6]], prefix)
+    with pytest.raises(ValueError, match="prefix"):  # longer than the context
+        loglikelihood_choice(ckpt, [1], [[5], [6]], prefix)
+
+
+def test_run_task_prefills_the_exemplar_block_once(monkeypatch):
+    calls, real = [], evalharness.prefill
+
+    def counted(ckpt, tokens):
+        calls.append(len(tokens))
+        return real(ckpt, tokens)
+
+    monkeypatch.setattr(evalharness, "prefill", counted)
+    task = Task("t", ll_items(8), mode="loglikelihood", metric="accuracy", n_shot=5)
+    run_task(random_ckpt(), task)
+    assert calls == [len(evalharness.exemplar_block(task))]
+    calls.clear()
+    run_task(random_ckpt(), Task("t", ll_items(3), mode="loglikelihood", metric="accuracy"))
+    assert calls == []
+
 
 def test_logprobs_are_nonpositive():
     ckpt = random_ckpt()
