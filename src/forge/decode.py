@@ -15,10 +15,10 @@ one. ``extend`` and ``step`` logits agree with the matching rows of
 different BLAS kernel than the full-sequence one.
 
 ``decode`` is the one decoding loop. It advances a round of continuations
-that share one prefill in lockstep; GRPO temperature sampling (a group's
-rollouts, each from its own offset in one random stream) and greedy
-evaluation (a round of one) differ only in how they choose a token from the
-logits.
+that share one prefill in lockstep, choosing every live row's next token in
+one batched call; GRPO temperature sampling (a group's rollouts, each from
+its own row of one block of uniform draws) and greedy evaluation (a round of
+one) differ only in that chooser.
 """
 
 from __future__ import annotations
@@ -127,41 +127,42 @@ def step(ckpt: Checkpoint, tokens, cache: KVCache) -> np.ndarray:
     return _run(ckpt, tokens[:, None], [cache.length], cache, None)[:, 0]
 
 
-def decode(ckpt: Checkpoint, prompt, max_new: int, choose, stop=(), prefilled=None) -> list[list[int]]:
-    """One round of ``len(choose)`` continuations of ``prompt``, decoded in
-    lockstep: one batched ``step`` per token for all that still run. Row m
-    takes each token as ``choose[m](logits)`` of its last position, and ends
-    at a token in ``stop`` (kept in its output) or after ``max_new`` tokens.
+def decode(ckpt: Checkpoint, prompt, rows: int, max_new: int, choose, stop=(), prefilled=None) -> list[list[int]]:
+    """One round of ``rows`` continuations of ``prompt``, decoded in lockstep:
+    one batched ``step`` per token for all that still run. At token n,
+    ``choose(logits, live, n)`` returns the next ids of the ``live`` rows
+    (their indices in the round, ascending) from their last logits
+    (len(live), vocab). A row ends at a token in ``stop`` (kept in its
+    output) or after ``max_new`` tokens.
 
     A round keeps the rows up to the first that ended before ``max_new``
-    tokens and stops decoding the rows after it at that step. This serves a
-    sampler whose row m draws from its stream advanced by m * ``max_new``
-    draws: the rows after an early stop started at the wrong offsets, and the
-    caller redraws them in another round (see ``train.loops.sample_response``).
-    Greedy decoding is a round of one.
+    tokens; the rows after it take no token at that step and no further
+    ``step``. This serves a sampler whose row m draws from its stream's
+    offset m * ``max_new``: the rows after an early stop started at the
+    wrong offsets, and the caller redraws them in another round (see
+    ``train.loops.sample_response``). Greedy decoding is a round of one.
 
     ``prefilled`` is ``prefill(ckpt, prompt)`` when the caller already has it:
     several rounds can start from one prefill, since each copies its cache."""
     stop = {int(s) for s in stop}
     logits, cache = prefill(ckpt, prompt) if prefilled is None else prefilled
-    outs: list[list[int]] = [[] for _ in choose]
-    live = list(range(len(choose)))  # rows still decoding, in order
-    cache = cache.take([0] * len(live))
-    last = np.broadcast_to(logits[-1], (len(live), logits.shape[-1]))
-    kept = len(choose)
+    outs: list[list[int]] = [[] for _ in range(rows)]
+    live = np.arange(rows)  # rows still decoding, in order
+    cache = cache.take([0] * rows)
+    last = np.broadcast_to(logits[-1], (rows, logits.shape[-1]))
+    kept = rows
     for n in range(max_new):
         if n:
             last = step(ckpt, [outs[m][-1] for m in live], cache)
-        for m, row in zip(live, last):
-            if m >= kept:
-                break  # behind a row that stopped early at this step
-            outs[m].append(int(choose[m](row)))
+        for m, token in zip(live, choose(last, live, n)):
+            outs[m].append(int(token))
             if outs[m][-1] in stop and n + 1 < max_new:
                 kept = m + 1
+                break  # the rows behind an early stop take no token
         still = [j for j, m in enumerate(live) if m < kept and outs[m][-1] not in stop]
         if len(still) < len(live):
-            live = [live[j] for j in still]
+            live = live[still]
             cache = cache.take(still)
-        if not live:
+        if not len(live):
             break
     return outs[:kept]

@@ -177,7 +177,7 @@ def loglikelihood_choice(ckpt: Checkpoint, context, choices, prefix=None):
 
 def _row_logprobs(logits: np.ndarray, targets) -> np.ndarray:
     """log p(targets[i]) under logits row i, by ``sequence_logprobs``'s arithmetic."""
-    return T.sum_(T.target_logprobs(T.Tensor(logits), targets), axis=-1).numpy()
+    return T.sum_(T.target_logprobs(logits, targets), axis=-1).numpy()
 
 
 def generate_greedy(ckpt: Checkpoint, context, max_new: int, stop=()) -> list[int]:
@@ -188,7 +188,7 @@ def generate_greedy(ckpt: Checkpoint, context, max_new: int, stop=()) -> list[in
     if not len(context):
         raise ValueError("context is empty")
     stop = set(int(s) for s in stop)
-    out = decode(ckpt, context, max_new, [np.argmax], stop)[0]
+    out = decode(ckpt, context, 1, max_new, lambda logits, live, n: logits.argmax(axis=-1), stop)[0]
     if out and out[-1] in stop:
         out.pop()
     return out

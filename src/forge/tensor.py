@@ -284,8 +284,10 @@ class Tensor:
 def _as_tensor(x, like: Tensor | None = None) -> Tensor:
     if isinstance(x, Tensor):
         return x
-    dtype = like.data.dtype if like is not None else np.float32
-    return Tensor(np.asarray(x, dtype=dtype))
+    if like is not None:
+        return Tensor(np.asarray(x, dtype=like.data.dtype))
+    keep = isinstance(x, np.ndarray) and x.dtype in (np.float32, np.float64)
+    return Tensor(x if keep else np.asarray(x, dtype=np.float32))
 
 
 def _check_dtypes(a: Tensor, b: Tensor, op: str) -> None:

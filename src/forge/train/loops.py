@@ -312,80 +312,59 @@ def load_rl_dataset(path) -> list[dict]:
 class GroupRollouts:
     """What the rollouts of one group share: ``prefill(ckpt, prompt_ids)``, the
     number of rollouts still to sample, and the rollouts the last round drew
-    ahead of their ``sample_response`` calls, by the stream position each
-    starts from."""
+    ahead of their ``sample_response`` calls, in order."""
 
     prefilled: tuple
     left: int
-    drawn: dict = field(default_factory=dict)
-
-
-def _position(state: dict) -> tuple:
-    """Where a PCG64 stream stands, from its ``bit_generator.state``."""
-    return state["state"]["state"], state["state"]["inc"]
-
-
-def _streams(bg, step: int, n: int) -> list:
-    """Copies of bg's stream moved on by 0, step, .., (n - 1) * step 64-bit draws."""
-    state, out = bg.state, []
-    for m in range(n):
-        copy = type(bg)(0)  # a fixed seed is cheaper than OS entropy; the state is replaced
-        copy.state = state
-        out.append(np.random.Generator(copy.advance(m * step)))
-    return out
+    drawn: list = field(default_factory=list)
 
 
 def sample_response(
     ckpt: Checkpoint, prompt_ids, rng, max_tokens: int, temperature: float,
     stop_id: int, suppress=(), prefilled=None,
 ):
-    """Temperature sampling until the stop token or the budget, one
-    ``rng.choice`` (one 64-bit draw of a PCG64 stream) per token. The stop
-    token, when drawn, stays in the returned ids so every response has at
-    least one scored action; ids in suppress are never drawn.
+    """Temperature sampling until the stop token or the budget, drawing each
+    token as ``rng.choice(vocab, p=p)`` would. The stop token, when drawn,
+    stays in the returned ids so every response has at least one scored
+    action; ids in suppress are never drawn.
 
-    ``prefilled`` is the ``GroupRollouts`` of the rollouts of a group, which
-    call this once each, in order, with one ``rng``. When the last round drew
-    no rollout from where ``rng`` stands, a new round decodes all the rollouts
-    still to sample in lockstep (``decode.decode``): rollout m of the round
-    draws from a copy of ``rng`` advanced by m * ``max_tokens`` draws, its
-    offset if every rollout before it takes the full budget. The round keeps
-    the rollouts up to the first that stopped early; the next rounds redraw
-    the rest from their true offsets. Each call returns the rollout that
-    starts where ``rng`` stands and advances ``rng`` past its draws, so the
-    tokens and the stream's end state are those of sampling the rollouts one
-    after another."""
+    ``prefilled`` is the ``GroupRollouts`` of a group's rollouts, which call
+    this once each, in order, with one ``rng``. When no drawn rollout is
+    left, a new round reads a block of ``rng.random()`` draws, one row of
+    ``max_tokens`` per rollout still to sample, without advancing ``rng``,
+    and decodes those rollouts in lockstep (``decode.decode``). Row m holds
+    rollout m's draws if every rollout before it runs the full budget; the
+    round keeps the rollouts up to the first that stopped early, and the
+    next rounds redraw the rest from where ``rng`` then stands. Each token
+    is the inverse-CDF pick ``Generator.choice`` makes with one ``random()``,
+    so each call returns the next rollout and advances ``rng`` past its
+    draws: the tokens and the stream's end state are those of sampling the
+    rollouts one after another, for any bit generator."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    bg = rng.bit_generator
-    if not isinstance(bg, np.random.PCG64):  # its advance(n) skips n draws; Philox's skips blocks
-        raise ValueError(f"sample_response needs a PCG64 stream, which can advance by draws, "
-                         f"got {type(bg).__name__}")
     suppress = list(suppress)
     group = GroupRollouts(prefill(ckpt, prompt_ids), 1) if prefilled is None else prefilled
+    if not group.drawn:
+        state = rng.bit_generator.state
+        uniforms = rng.random((max(group.left, 1), max_tokens))
+        rng.bit_generator.state = state
 
-    def drawer(stream):
-        def draw(logits):
+        def choose(logits, live, n):
             logits = logits.astype(np.float64) / temperature
             if suppress:
-                logits[suppress] = -np.inf
-            z = logits - logits.max()
-            p = np.exp(z)
-            p /= p.sum()
-            return stream.choice(len(p), p=p)
-        return draw
+                logits[:, suppress] = -np.inf
+            p = np.exp(logits - logits.max(axis=-1, keepdims=True))
+            p /= p.sum(axis=-1, keepdims=True)
+            cdf = np.cumsum(p, axis=-1)
+            if not np.isfinite(cdf[:, -1]).all():  # as Generator.choice; a NaN CDF would pick id 0
+                raise ValueError("sampling probabilities are not finite")
+            cdf /= cdf[:, -1:]
+            return (cdf <= uniforms[live, n][:, None]).sum(axis=-1)
 
-    state = bg.state
-    start = _position(state)
-    if start not in group.drawn:
-        streams = _streams(bg, max_tokens, max(group.left, 1))
-        keys = [_position(s.bit_generator.state) for s in streams]
-        outs = decode(ckpt, prompt_ids, max_tokens, [drawer(s) for s in streams], (stop_id,), group.prefilled)
-        group.drawn = dict(zip(keys, outs))
-    resp = group.drawn.pop(start)
+        group.drawn = decode(ckpt, prompt_ids, len(uniforms), max_tokens, choose, (stop_id,), group.prefilled)
+    resp = group.drawn.pop(0)
     group.left -= 1
-    bg.advance(len(resp))  # this also clears the buffered 32-bit half, which rng.choice leaves alone
-    bg.state = {**bg.state, "has_uint32": state["has_uint32"], "uinteger": state["uinteger"]}
+    rng.random(len(resp))
     return resp
 
 
@@ -438,11 +417,11 @@ def train_grpo(
     a tape-free one.
 
     A group's rollouts share one prefill of the prompt and one named stream
-    (``grpo/step{s}/slot{k}``), from which ``sample_response`` draws them in
-    lockstep rounds, each rollout from its own offset in the stream: the
-    same rollouts as sampling them one after another. A group takes one
-    round when no rollout stops before ``max_tokens``, and one more for each
-    rollout that does and is followed by others.
+    (``grpo/step{s}/slot{k}``). ``sample_response`` reads a block of uniform
+    draws from it, one row per rollout, and samples the rollouts in lockstep
+    rounds: the same rollouts as sampling them one after another. A group
+    takes one round when no rollout stops before ``max_tokens``, and one more
+    for each rollout that does and is followed by others.
     """
     if not problems:
         raise ValueError("no problems to train on")

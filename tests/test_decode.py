@@ -6,6 +6,7 @@ sampling (rollouts of a group in lockstep rounds) and greedy generation draw
 the same tokens as a loop that re-runs ``forward`` over the whole prefix for
 every token."""
 
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -279,30 +280,67 @@ def test_batched_step_rows_are_bit_identical_to_single_steps(shape, dtype):
 
 
 @pytest.mark.parametrize("stop_at,kept", [(1, 2), (4, 4)])
-def test_a_round_keeps_the_rows_up_to_the_first_early_stop(stop_at, kept):
+def test_a_round_keeps_the_rows_up_to_the_first_early_stop(monkeypatch, stop_at, kept):
     # row 1 draws the stop token at step stop_at of 5; the others never do
     ckpt = make_ckpt()
-    calls = [0] * 4
+    chosen, stepped, original = [], [], decode.step
 
-    def chooser(m):
-        def choose(logits):
-            calls[m] += 1
-            return 9 if m == 1 and calls[m] == stop_at + 1 else 3
-        return choose
+    def choose(logits, live, n):
+        assert logits.shape == (len(live), ckpt.config.vocab_size)
+        chosen.append(list(live))
+        return [9 if m == 1 and n == stop_at else 3 for m in live]
 
-    outs = decode.decode(ckpt, [1, 2], 5, [chooser(m) for m in range(4)], stop=[9])
+    def step(c, tokens, cache):
+        stepped.append(len(tokens))
+        return original(c, tokens, cache)
+
+    monkeypatch.setattr(decode, "step", step)
+    outs = decode.decode(ckpt, [1, 2], 4, 5, choose, stop=[9])
     assert outs[:2] == [[3] * 5, [3] * stop_at + [9]]
     assert len(outs) == kept
-    # a stop before the budget ends rows 2 and 3 before they choose at that step
-    assert calls == ([5, 2, 1, 1] if kept == 2 else [5, 5, 5, 5])
+    # a stop before the budget drops rows 2 and 3 from the batch at that
+    # step: they take no token there and no further step
+    if kept == 2:
+        assert chosen == [[0, 1, 2, 3]] * 2 + [[0]] * 3
+        assert stepped == [4, 1, 1, 1]
+    else:
+        assert chosen == [[0, 1, 2, 3]] * 5
+        assert stepped == [4, 4, 4, 4]
 
 
-def test_sample_response_needs_a_stream_that_advances_by_draws():
+def same_state(a, b):
+    """Bit generator states, compared whole: MT19937's holds an ndarray."""
+    return pickle.dumps(a) == pickle.dumps(b)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937, np.random.SFC64, np.random.Philox])
+def test_choice_is_one_inverse_cdf_draw(bit_generator):
+    # sample_response draws as Generator.choice(n, p=p) does: count the
+    # normalized CDF entries at or below one random(). A numpy release that
+    # draws otherwise fails here rather than in a rollout oracle.
+    rng_a, rng_b = np.random.Generator(bit_generator(5)), np.random.Generator(bit_generator(5))
+    shapes = named_rng(0, f"choice/{bit_generator.__name__}")
+    for _ in range(300):
+        logits = shapes.normal(0.0, shapes.uniform(0.1, 8.0), int(shapes.integers(2, 400)))
+        logits[shapes.random(len(logits)) < 0.3] = -np.inf  # suppressed ids
+        logits[shapes.integers(len(logits))] = 0.0
+        p = np.exp(logits - logits.max())
+        p /= p.sum()
+        cdf = np.cumsum(p)
+        cdf /= cdf[-1]
+        assert rng_a.choice(len(p), p=p) == (cdf <= rng_b.random()).sum()
+        assert same_state(rng_a.bit_generator.state, rng_b.bit_generator.state)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_logits_raise_value_error(bad):
     ckpt = make_ckpt()
-    for bit_generator in (np.random.MT19937(0), np.random.SFC64(0)):
-        name = type(bit_generator).__name__
-        with pytest.raises(ValueError, match=f"got {name}$"):
-            sample_response(ckpt, [1, 2], np.random.Generator(bit_generator), 4, 1.0, 0)
+    logits, cache = decode.prefill(ckpt, [1, 2])
+    logits[-1, 5] = bad
+    for group_size in (1, 3):
+        with pytest.raises(ValueError):
+            sample_response(ckpt, [1, 2], named_rng(0, "nan"), 4, 1.0, 0, (),
+                            GroupRollouts((logits, cache), group_size))
 
 
 @pytest.mark.parametrize("group_size", [1, 2, 8])
@@ -337,3 +375,27 @@ def test_lockstep_rollouts_match_sequential_sampling(monkeypatch, group_size, bu
         assert per_group == [1] * 20
     else:
         assert max(per_group) >= 2
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.SFC64, np.random.Philox])
+def test_lockstep_rollouts_match_sequential_sampling_on_any_stream(bit_generator):
+    # the lockstep oracle above, on bit generators that cannot advance by
+    # draws: a round reads its uniforms as one block and restores the state
+    ckpt = make_ckpt()
+    stop = TOK.special_id("<|end|>")
+    ckpt.params["lm_head"].data[:, stop] += np.float32(1.0)
+    suppress = [i for i in range(TOK.base_size, TOK.vocab_size) if i != stop]
+    early = 0
+    for seed in range(8):
+        prompt = random_tokens(6, f"lockstep{seed}")
+        rng_a, rng_b = np.random.Generator(bit_generator(seed)), np.random.Generator(bit_generator(seed))
+        if seed % 2:  # a buffered 32-bit half, which rng.choice leaves alone
+            rng_a.integers(0, 7, dtype=np.uint32)
+            rng_b.integers(0, 7, dtype=np.uint32)
+        shared = GroupRollouts(decode.prefill(ckpt, prompt), 8)
+        got = [sample_response(ckpt, prompt, rng_a, 12, 1.0, stop, suppress, shared) for _ in range(8)]
+        want = [reference_sample(ckpt, prompt, rng_b, 12, 1.0, stop, suppress) for _ in range(8)]
+        assert got == want
+        assert same_state(rng_a.bit_generator.state, rng_b.bit_generator.state)
+        early += sum(len(r) < 12 for r in got[:-1])
+    assert early  # some group took more than one round

@@ -132,6 +132,16 @@ def test_mixed_dtypes_rejected():
         Tensor(np.ones(3, dtype=np.float32)) + Tensor(np.ones(3, dtype=np.float64))
 
 
+def test_float_arrays_keep_their_dtype_as_operands():
+    # a float32 or float64 ndarray computes in its own dtype; anything else
+    # (lists, ints, Python floats) becomes float32, or the other operand's dtype
+    assert T.target_logprobs(np.array([[0.1, 0.2, 0.3]]), [1]).data.dtype == np.float64
+    assert T.log_softmax(np.zeros(3, dtype=np.float32)).data.dtype == np.float32
+    assert T.sum_(np.arange(3)).data.dtype == np.float32
+    assert T.sum_([0.5, 1.5]).data.dtype == np.float32
+    assert (np.ones(2) + Tensor(np.ones(2, dtype=np.float32))).data.dtype == np.float32
+
+
 def test_reshape_size_mismatch_rejected():
     with pytest.raises(ShapeError):
         Tensor(np.ones((2, 3))).reshape(4, 2)
