@@ -51,19 +51,20 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint file, validating directory and payload extents."""
+    """Read a checkpoint file, validating directory and payload extents; a
+    malformed header or payload raises ValueError naming the path."""
     raw = Path(path).read_bytes()
     sep = raw.find(b"payload\n")
     if sep < 0:
         raise ValueError(f"{path}: missing payload marker; not a checkpoint file")
-    head_lines = raw[:sep].decode("utf-8").splitlines()
+    head_lines = raw[:sep].decode("utf-8", errors="replace").splitlines()  # bad bytes fail a check below
     payload = raw[sep + len(b"payload\n"):]
 
     if not head_lines or not head_lines[0].startswith(_MAGIC + " "):
         raise ValueError(f"{path}: bad magic line")
-    version = int(head_lines[0].split()[1])
-    if version != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported format version {version}")
+    version = head_lines[0][len(_MAGIC) + 1:]
+    if version != str(CHECKPOINT_FORMAT_VERSION):
+        raise ValueError(f"{path}: unsupported format version {version!r}")
     if len(head_lines) < 2 or not head_lines[1].startswith("config "):
         raise ValueError(f"{path}: missing config line")
     try:
@@ -74,11 +75,13 @@ def load_checkpoint(path) -> Checkpoint:
     params: dict[str, Tensor] = {}
     expected_offset = 0
     for line in head_lines[2:]:
-        kind, name, dims, offset = line.split(" ")
-        if kind != "tensor":
+        try:
+            kind, name, dims, offset = line.split(" ")
+            shape, offset = tuple(int(d) for d in dims.split(",")), int(offset)
+        except ValueError:  # too few or too many fields, or a non-integer size
+            kind = None
+        if kind != "tensor" or min(shape) < 0:
             raise ValueError(f"{path}: unexpected manifest line {line!r}")
-        shape = tuple(int(d) for d in dims.split(","))
-        offset = int(offset)
         if offset != expected_offset:
             raise ValueError(f"{path}: tensor {name} offset {offset}, expected {expected_offset}")
         nbytes = int(np.prod(shape)) * 4
@@ -91,6 +94,6 @@ def load_checkpoint(path) -> Checkpoint:
     if expected_offset != len(payload):
         raise ValueError(f"{path}: {len(payload) - expected_offset} trailing payload bytes")
 
-    ckpt = Checkpoint(config=config, params=params, format_version=version)
+    ckpt = Checkpoint(config=config, params=params, format_version=CHECKPOINT_FORMAT_VERSION)
     validate_checkpoint(ckpt)
     return ckpt

@@ -425,12 +425,9 @@ class RunContext:
 
 
 def _chat_batches(ctx: RunContext, tok):
-    try:
-        samples = load_chat_dataset(ctx.inp(ctx.cfg["dataset"]))
-        enc = [(r.token_ids, build_loss_mask(r)) for r in (render_chat(s, tok) for s in samples)]
-        return pack_samples(enc, max_len=ctx.cfg["max_len"])
-    except ValueError as e:
-        raise DataError(str(e)) from None
+    samples = load_chat_dataset(ctx.inp(ctx.cfg["dataset"]))
+    enc = [(r.token_ids, build_loss_mask(r)) for r in (render_chat(s, tok) for s in samples)]
+    return pack_samples(enc, max_len=ctx.cfg["max_len"])
 
 
 def cmd_upscale(ctx: RunContext) -> None:
@@ -446,11 +443,7 @@ def cmd_upscale(ctx: RunContext) -> None:
 
 def cmd_merge(ctx: RunContext) -> None:
     ckpts = [_load_ckpt(ctx.inp(p)) for p in ctx.cfg["checkpoints"]]
-    weights = ctx.cfg["weights"] or [1.0] * len(ckpts)
-    try:
-        merged = merge_checkpoints(ckpts, weights)
-    except ValueError as e:
-        raise DataError(str(e)) from None
+    merged = merge_checkpoints(ckpts, ctx.cfg["weights"] or [1.0] * len(ckpts))
     save_checkpoint(merged, ctx.out(ctx.cfg["output"]))
     print(f"merged {len(ckpts)} checkpoints")
 
@@ -461,10 +454,7 @@ def cmd_train_sft(ctx: RunContext) -> None:
     tok = _load_tok(ctx.inp(cfg["tokenizer"]))
     batches = _chat_batches(ctx, tok)
     log = ctx.out(cfg["log"]) if cfg["log"] else None
-    try:
-        rows = train_sft(ckpt, batches, _settings_from(cfg), log_path=log)
-    except ValueError as e:  # empty or degenerate dataset
-        raise DataError(str(e)) from None
+    rows = train_sft(ckpt, batches, _settings_from(cfg), log_path=log)
     save_checkpoint(ckpt, ctx.out(cfg["output"]))
     print(f"sft: {len(rows)} steps, final loss {rows[-1]['loss']:.6f}")
 
@@ -473,19 +463,13 @@ def cmd_train_dpo(ctx: RunContext) -> None:
     cfg = ctx.cfg
     ckpt = _load_ckpt(ctx.inp(cfg["checkpoint"]))
     tok = _load_tok(ctx.inp(cfg["tokenizer"]))
-    try:
-        pairs = encode_preference_pairs(load_preference_dataset(ctx.inp(cfg["dataset"])), tok)
-    except ValueError as e:
-        raise DataError(str(e)) from None
+    pairs = encode_preference_pairs(load_preference_dataset(ctx.inp(cfg["dataset"])), tok)
     ref = _clone(ckpt)
     log = ctx.out(cfg["log"]) if cfg["log"] else None
-    try:
-        rows = train_dpo(
-            ckpt, ref, pairs, _settings_from(cfg),
-            variant=cfg["variant"], beta=cfg["beta"], lam_dpop=cfg["lam_dpop"], log_path=log,
-        )
-    except ValueError as e:
-        raise DataError(str(e)) from None
+    rows = train_dpo(
+        ckpt, ref, pairs, _settings_from(cfg),
+        variant=cfg["variant"], beta=cfg["beta"], lam_dpop=cfg["lam_dpop"], log_path=log,
+    )
     save_checkpoint(ckpt, ctx.out(cfg["output"]))
     print(f"{cfg['variant']}: {len(rows)} steps, final loss {rows[-1]['loss']:.6f}")
 
@@ -494,22 +478,16 @@ def cmd_train_grpo(ctx: RunContext) -> None:
     cfg = ctx.cfg
     ckpt = _load_ckpt(ctx.inp(cfg["checkpoint"]))
     tok = _load_tok(ctx.inp(cfg["tokenizer"]))
-    try:
-        problems = load_rl_dataset(ctx.inp(cfg["dataset"]))
-    except ValueError as e:
-        raise DataError(str(e)) from None
+    problems = load_rl_dataset(ctx.inp(cfg["dataset"]))
     ref = _clone(ckpt)
     log = ctx.out(cfg["log"]) if cfg["log"] else None
-    try:
-        rows = train_grpo(
-            ckpt, ref, problems, tok, _settings_from(cfg),
-            group_size=cfg["group_size"], temperature=cfg["temperature"],
-            max_tokens=cfg["max_tokens"], clip_eps=cfg["clip_eps"],
-            kl_coef=cfg["kl_coef"], variant=cfg["variant"],
-            prompts_per_step=cfg["prompts_per_step"], seed=cfg["seed"], log_path=log,
-        )
-    except ValueError as e:
-        raise DataError(str(e)) from None
+    rows = train_grpo(
+        ckpt, ref, problems, tok, _settings_from(cfg),
+        group_size=cfg["group_size"], temperature=cfg["temperature"],
+        max_tokens=cfg["max_tokens"], clip_eps=cfg["clip_eps"],
+        kl_coef=cfg["kl_coef"], variant=cfg["variant"],
+        prompts_per_step=cfg["prompts_per_step"], seed=cfg["seed"], log_path=log,
+    )
     save_checkpoint(ckpt, ctx.out(cfg["output"]))
     print(
         f"{cfg['variant']}: {len(rows)} steps, "
@@ -525,10 +503,7 @@ def cmd_eval(ctx: RunContext) -> None:
     except (ValueError, OSError, json.JSONDecodeError) as e:
         raise DataError(f"suite: {e}") from None
     csv_path = ctx.out(cfg["monitor_csv"]) if cfg["monitor_csv"] else None
-    try:
-        report = run_suite(ckpt, tasks, step=cfg["step"], csv_path=csv_path)
-    except ValueError as e:  # e.g. a monitoring CSV written for other tasks
-        raise DataError(str(e)) from None
+    report = run_suite(ckpt, tasks, step=cfg["step"], csv_path=csv_path)
     ctx.out(cfg["report"]).write_text(report.to_json(), encoding="utf-8")
     for s in report.scores:
         print(f"{s.name}\traw {s.raw:.4f}\tnormalized {s.normalized:.4f}")
@@ -623,15 +598,21 @@ def _parser() -> argparse.ArgumentParser:
 def run(command: str, config_path, out_dir=None, seed=None, environ=None) -> int:
     """Validate, dispatch, write manifest; returns the process exit code.
     numpy floating-point warnings are silenced: a blow-up reports itself as
-    one numeric-error line (exit 4), not as warnings ahead of it."""
+    one numeric-error line (exit 4), not as warnings ahead of it. A
+    ValueError out of a command is the library rejecting its data (an empty
+    dataset, an out-of-range token id, a merge that overflows): one
+    data-error line (exit 3)."""
     try:
         cfg = validate_config(command, config_path, seed_override=seed, environ=environ)
         config_path = Path(config_path)
         out_root = Path(out_dir) if out_dir is not None else config_path.parent
         out_root.mkdir(parents=True, exist_ok=True)
         ctx = RunContext(command, cfg, config_path, out_root)
-        with np.errstate(all="ignore"):
-            COMMANDS[command](ctx)
+        try:
+            with np.errstate(all="ignore"):
+                COMMANDS[command](ctx)
+        except ValueError as e:
+            raise DataError(str(e)) from None
         ctx.write_manifest()
         return 0
     except ConfigError as e:

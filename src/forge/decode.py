@@ -7,12 +7,12 @@ block is causal within itself. ``prefill`` is ``extend`` on an empty cache,
 whose mask is then the causal triangle that ``forward`` uses; ``step`` feeds
 one token per row and needs no mask. All work on plain numpy arrays with a
 leading batch axis and run each layer op on the kernel of the tape primitive
-that ``model.forward`` records (``_rms_norm``, ``_rotate_pairs``,
-``_masked_softmax``, ``_swiglu``), so ``prefill`` logits are bit-identical to
-``forward``'s, and each row of a batched ``extend`` or ``step`` to a batch of
-one. ``extend`` and ``step`` logits agree with the matching rows of
-``forward`` to float rounding only: a matmul over fewer rows may take a
-different BLAS kernel than the full-sequence one.
+that ``model.forward`` records (``_rms_norm``, ``_swiglu``, and for attention
+``_rotate_pairs`` before the cache and ``_attend`` after it), so ``prefill``
+logits are bit-identical to ``forward``'s, and each row of a batched ``extend``
+or ``step`` to a batch of one. ``extend`` and ``step`` logits agree with the
+matching rows of ``forward`` to float rounding only: a matmul over fewer rows
+may take a different BLAS kernel than the full-sequence one.
 
 ``decode`` is the one decoding loop. It advances a round of continuations
 that share one prefill in lockstep, choosing every live row's next token in
@@ -35,7 +35,7 @@ from .model import (
     neg_inf_for,
     rope_frequencies,
 )
-from .tensor import _masked_softmax, _rms_norm, _rotate_pairs, _swiglu
+from .tensor import _attend, _rms_norm, _rotate_pairs, _swiglu
 
 
 @dataclass
@@ -70,7 +70,7 @@ def _run(ckpt: Checkpoint, tokens: np.ndarray, positions, cache: KVCache, mask) 
     batch of one, and a row's bits do not depend on B."""
     cfg, p = ckpt.config, ckpt.params
     b, t_len = tokens.shape
-    hs, nh, nkv, group = cfg.head_size, cfg.n_heads, cfg.n_kv_heads, cfg.group_size
+    hs = cfg.head_size
     x = p["embed.tok"].data[tokens]
     eps, fill = cfg.rmsnorm_eps, neg_inf_for(x.dtype)
     tables = rope_frequencies(hs, cfg.rope_theta, positions)
@@ -79,20 +79,15 @@ def _run(ckpt: Checkpoint, tokens: np.ndarray, positions, cache: KVCache, mask) 
     for i in range(cfg.n_layers):
         lw = {k: p[f"layers.{i}.{k}"].data for k in _LAYER_SHAPES}
         h = _rms_norm(x, lw["attn_norm.g"], eps)[0]
-        q = _rotate_pairs((h @ lw["attn.wq"]).reshape(b, t_len, nh, hs).transpose(0, 2, 1, 3), cos, sin)
-        k = _rotate_pairs((h @ lw["attn.wk"]).reshape(b, t_len, nkv, hs).transpose(0, 2, 1, 3), cos, sin)
-        v = (h @ lw["attn.wv"]).reshape(b, t_len, nkv, hs).transpose(0, 2, 1, 3)
+        q, k, v = ((h @ lw[f"attn.w{n}"]).reshape(b, t_len, -1, hs).transpose(0, 2, 1, 3) for n in "qkv")
+        q, k = _rotate_pairs(q, cos, sin), _rotate_pairs(k, cos, sin)
         if i < len(cache.keys):
             k = cache.keys[i] = np.concatenate([cache.keys[i], k], axis=2)
             v = cache.values[i] = np.concatenate([cache.values[i], v], axis=2)
         else:
             cache.keys.append(k)
             cache.values.append(v)
-        s_len = k.shape[2]
-        q = q.reshape(b, nkv, group, t_len, hs)
-        scores = q @ k.reshape(b, nkv, 1, s_len, hs).transpose(0, 1, 2, 4, 3)
-        out = _masked_softmax(scores, mask, scale, fill)[0] @ v.reshape(b, nkv, 1, s_len, hs)
-        x = x + out.transpose(0, 3, 1, 2, 4).reshape(b, t_len, nh * hs) @ lw["attn.wo"]
+        x = x + _attend(q, k, v, mask, scale, fill)[0] @ lw["attn.wo"]
         h = _rms_norm(x, lw["ffn_norm.g"], eps)[0]
         x = x + _swiglu(h @ lw["ffn.w_gate"], h @ lw["ffn.w_up"])[0] @ lw["ffn.w_down"]
     return _rms_norm(x, p["final_norm.g"].data, eps)[0] @ p["lm_head"].data
@@ -102,10 +97,10 @@ def extend(ckpt: Checkpoint, tokens, cache: KVCache) -> np.ndarray:
     """Append ``tokens`` (B, t) to the B rows of ``cache`` at positions
     L..L+t-1; their logits (B, t, vocab). Each new token sees every cached
     key, and the new tokens see each other causally."""
-    tokens = np.asarray(tokens, dtype=np.int64)
+    tokens = np.asarray(tokens)
     if tokens.ndim != 2 or tokens.shape[1] == 0:
         raise ValueError(f"extend: tokens must be (batch, t) with t >= 1, got shape {tokens.shape}")
-    check_token_ids(tokens.reshape(-1), ckpt.config.vocab_size)
+    tokens = check_token_ids(tokens.reshape(-1), ckpt.config.vocab_size).reshape(tokens.shape)
     start, t_len = cache.length, tokens.shape[1]
     mask = np.tri(t_len, start + t_len, start, dtype=bool)
     return _run(ckpt, tokens, np.arange(start, start + t_len), cache, mask)

@@ -1,6 +1,6 @@
-"""Decoder-only transformer: RMSNorm, SwiGLU, RoPE (the ``tensor.rotate_pairs``
-primitive, with long-context frequency interpolation), grouped-query
-attention, pre-norm residual stack.
+"""Decoder-only transformer: RMSNorm, SwiGLU, RoPE with long-context frequency
+interpolation, grouped-query attention (one ``tensor.attention`` node per
+bucket, whose forward is ``decode``'s kernel ``_attend``), pre-norm residuals.
 
 All functions are pure over a parameter dict so the same code path serves
 training (under a tape) and evaluation (tape-free). ``forward`` maps T token
@@ -59,10 +59,6 @@ class ModelConfig:
     @property
     def group_size(self) -> int:
         return self.n_heads // self.n_kv_heads
-
-    @property
-    def yarn_factor(self) -> int:
-        return self.extended_ctx // self.native_ctx
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -279,20 +275,15 @@ def gqa_attention(
     boolean and tables a ``RopeTables`` (or None); with one, each is a list
     holding one entry per bucket, the mask (T, T) or (count, 1, 1, T, T)
     and the tables' cos/sin (T, half) or (count, 1, T, half). True marks
-    attendable (key) positions, never a future one. Each KV head serves
-    n_heads/n_kv_heads query heads, and scores are scaled by
-    mscale^2 / sqrt(head_size). The projections run over the whole block;
-    scores, softmax and the value product run per bucket, never over
+    attendable (key) positions, never a future one. Scores are scaled by
+    mscale^2 / sqrt(head_size). The projections run over the whole block,
+    and the rest is one ``tensor.attention`` node per bucket, never over
     padding or across sequences.
     """
     if block is None:
         block, mask, tables = T.RowBlock([x.shape[0]]), [mask], [tables]
-    hs, nh, nkv = config.head_size, config.n_heads, config.n_kv_heads
-    group = config.group_size
-    n_rows = x.shape[0]
-    q_all = T.block_matmul(x, weights["attn.wq"], block)
-    k_all = T.block_matmul(x, weights["attn.wk"], block)
-    v_all = T.block_matmul(x, weights["attn.wv"], block)
+    hs, n_rows = config.head_size, x.shape[0]
+    projected = [T.block_matmul(x, weights[f"attn.w{n}"], block) for n in "qkv"]
 
     outs = []
     for (start, count, t_len), bucket_mask, bucket_tables in zip(block.buckets, mask, tables):
@@ -301,25 +292,12 @@ def gqa_attention(
             raise T.ShapeError(f"gqa_attention: mask shape {bucket_mask.shape}, expected {(t_len, t_len)}")
         if np.any(np.triu(bucket_mask, k=1)):
             raise ValueError("gqa_attention: mask allows attention to a future position")
-
-        def heads(t: Tensor, n: int) -> Tensor:
-            # (count, n, T, hs): this bucket's rows, split into heads
-            if count * t_len != n_rows:
-                t = T.take_rows(t, slice(start, start + count * t_len))
-            return t.reshape(count, t_len, n, hs).transpose(0, 2, 1, 3)
-
-        q, k, v = heads(q_all, nh), heads(k_all, nkv), heads(v_all, nkv)
-        mscale = 1.0
-        if bucket_tables is not None:
-            q, k = apply_rope(q, k, bucket_tables)
-            mscale = bucket_tables.mscale
-
-        # group query heads over their shared KV head: (count, nkv, group, T, hs)
-        q = q.reshape(count, nkv, group, t_len, hs)
-        scores = q @ k.reshape(count, nkv, 1, t_len, hs).transpose(0, 1, 2, 4, 3)
-        attn = T.masked_softmax(scores, bucket_mask, mscale * mscale / math.sqrt(hs), neg_inf_for(scores.dtype))
-        out = attn @ v.reshape(count, nkv, 1, t_len, hs)  # (count, nkv, group, T, hs)
-        outs.append(out.transpose(0, 3, 1, 2, 4).reshape(count * t_len, nh * hs))
+        rows = slice(start, start + count * t_len)  # this bucket's
+        q, k, v = projected if count * t_len == n_rows else (T.take_rows(t, rows) for t in projected)
+        rope = None if bucket_tables is None else (bucket_tables.cos.astype(x.dtype), bucket_tables.sin.astype(x.dtype))
+        mscale = 1.0 if bucket_tables is None else bucket_tables.mscale
+        outs.append(T.attention(q, k, v, count, hs, bucket_mask, rope, mscale * mscale / math.sqrt(hs),
+                                neg_inf_for(x.dtype)))
     out = outs[0] if len(outs) == 1 else T.concat(outs, axis=0)
     return T.block_matmul(out, weights["attn.wo"], block)
 
@@ -333,9 +311,12 @@ def build_attention_mask(segment_ids: np.ndarray, dtype=bool) -> np.ndarray:
 
 
 def check_token_ids(tokens, vocab_size: int) -> np.ndarray:
-    """tokens as a 1-D int64 sequence, or ValueError naming another shape or
-    an id outside [0, vocab_size)."""
-    tokens = np.asarray(tokens, dtype=np.int64)
+    """tokens as a 1-D int64 sequence, or ValueError naming another shape, a
+    non-integer dtype (floats and bools are never cast) or an id outside [0, vocab_size)."""
+    tokens = np.asarray(tokens)
+    if tokens.size and tokens.dtype.kind not in "iu":
+        raise ValueError(f"token ids must be integers, got {tokens.dtype} values")
+    tokens = tokens.astype(np.int64, copy=False)
     if tokens.ndim != 1:
         raise ValueError(f"token ids must be a 1-D sequence, got shape {tokens.shape}")
     if tokens.size and (tokens.min() < 0 or tokens.max() >= vocab_size):

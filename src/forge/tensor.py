@@ -15,6 +15,8 @@ caller still holds, stay readable through ``grad``.
 Broadcasting follows trailing-dimension alignment; incompatible shapes
 raise ``ShapeError``. Mixed float32/float64 operands are rejected, but
 ``max_``'s VJP divides by int64 tie counts: gradients through it are float64.
+Layer ops are single nodes over numpy kernels that ``forge.decode`` calls
+too; attention, for one, is ``attention`` over ``_attend``.
 """
 
 from __future__ import annotations
@@ -194,9 +196,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() on non-scalar tensor of shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
@@ -795,20 +794,59 @@ def _masked_softmax(scores: np.ndarray, mask, scale: float, fill: float):
     return e / total, s, m, e, total
 
 
-def masked_softmax(scores: Tensor, mask, scale: float, fill: float) -> Tensor:
-    """``_masked_softmax``, as scale's mul, ``where`` and ``softmax``; max's tie split makes gradients float64."""
-    scores = _as_tensor(scores)
-    out, s, m, e, total = _masked_softmax(scores.data, mask, scale, fill)
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask, scale: float, fill: float):
+    """Rows (B, t, nh·hs) of rotated query heads q (B, nh, t, hs) attending through ``_masked_softmax``
+    over keys and values (B, nkv, s, hs), each KV head serving nh/nkv query heads; then the grouped q,
+    transposed k and grouped v that the two products read, and the softmax's arrays."""
+    b, nh, t_len, hs = q.shape
+    nkv, s_len = k.shape[1], k.shape[2]
+    q = q.reshape(b, nkv, nh // nkv, t_len, hs)
+    kt = k.reshape(b, nkv, 1, s_len, hs).transpose(0, 1, 2, 4, 3)
+    v = v.reshape(b, nkv, 1, s_len, hs)
+    soft = _masked_softmax(q @ kt, mask, scale, fill)
+    out = soft[0] @ v  # (b, nkv, group, t, hs)
+    return out.transpose(0, 3, 1, 2, 4).reshape(b, t_len, nh * hs), q, kt, v, soft
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, count: int, head_size: int, mask, rope, scale: float,
+              fill: float) -> Tensor:
+    """Grouped-query attention within each of ``count`` equal-length sequences, as one node: q rows
+    (count·t, nh·hs) and k, v rows (count·t, nkv·hs) split into heads, q and k rotated by ``rope``'s
+    (cos, sin) unless it is None, then ``_attend`` under the bool ``mask``. The VJP replays the VJPs of
+    the composite (head reshapes and transposes, ``rotate_pairs``, matmuls, scale's mul, ``where``,
+    ``softmax``): q's and k's parts rotate back into their dtype, v's keeps numpy's promotion."""
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    for t in (k, v):
+        _check_dtypes(q, t, "attention")
+    rows, hs, dtype = q.shape[0], head_size, q.data.dtype.type
+    t_len, nkv = rows // count, k.shape[1] // hs
+    qh, kh, vh = (t.data.reshape(count, t_len, -1, hs).transpose(0, 2, 1, 3) for t in (q, k, v))
+    if rope is not None:
+        qh, kh = _rotate_pairs(qh, *rope), _rotate_pairs(kh, *rope)
+    out, qg, kt, vg, (p, s, m, e, total) = _attend(qh, kh, vh, mask, scale, fill)
+    out = out.reshape(rows, -1)
     if _current_graph() is None:  # no tape: the VJP's tie mask is never read
         return Tensor(out)
-    hit, dtype = s == m, out.dtype.type
+    hit, grads = s == m, {}
 
-    def vjp(g):
-        gs = (g / total + np.broadcast_to(_unbroadcast(-g * e / (total * total), total.shape), e.shape)) * e
-        gs = gs + np.broadcast_to(_unbroadcast(-gs, total.shape), e.shape) * hit / hit.sum(axis=-1, keepdims=True)
-        return (gs if mask is None else np.where(mask, gs, dtype(0))) * dtype(scale)
+    def vjp(i, g):  # part i of (v, k, q), the composite's backward order; the first call computes all
+        if not grads:
+            g = g.reshape(count, t_len, nkv, -1, hs).transpose(0, 2, 3, 1, 4)
+            gv, ga = _unbroadcast(p.swapaxes(-1, -2) @ g, vg.shape), g @ vg.swapaxes(-1, -2)
+            gs = (ga / total + np.broadcast_to(_unbroadcast(-ga * e / (total * total), total.shape), e.shape)) * e
+            gs = gs + np.broadcast_to(_unbroadcast(-gs, total.shape), e.shape) * hit / hit.sum(axis=-1, keepdims=True)
+            gs = (gs if mask is None else np.where(mask, gs, dtype(0))) * dtype(scale)
+            gk = _unbroadcast(qg.swapaxes(-1, -2) @ gs, kt.shape).transpose(0, 1, 2, 4, 3)
+            parts = [gv, gk, gs @ kt.swapaxes(-1, -2)]
+            if rope is not None:  # rotate_pairs' VJP, into the input dtype
+                parts[1:] = (_rotate_pairs(x.reshape(count, -1, t_len, hs), rope[0], -rope[1], dtype)
+                             for x in parts[1:])
+            # each back to rows through the head transpose's and reshape's VJPs
+            grads.update((j, x.reshape(count, -1, t_len, hs).transpose(0, 2, 1, 3).reshape(rows, -1))
+                         for j, x in enumerate(parts))
+        return grads.pop(i)
 
-    return _make("masked_softmax", out, [(scores, vjp)])
+    return _make("attention", out, [(v, lambda g: vjp(0, g)), (k, lambda g: vjp(1, g)), (q, lambda g: vjp(2, g))])
 
 
 def _swiglu(a: np.ndarray, b: np.ndarray):

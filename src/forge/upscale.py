@@ -109,7 +109,9 @@ def merge_checkpoints(ckpts: list[Checkpoint], weights) -> Checkpoint:
         for w, ckpt in zip(weights, ckpts):
             acc += w * ckpt.params[name].data.astype(np.float64)
         out_params[name] = Tensor((acc / total).astype(dtype), requires_grad=True)
-    return Checkpoint(config=base.config, params=out_params, format_version=base.format_version)
+    out = Checkpoint(config=base.config, params=out_params, format_version=base.format_version)
+    validate_checkpoint(out)  # weights whose sums overflow give non-finite values
+    return out
 
 
 def rank_checkpoints(scores: dict[str, float]) -> list[str]:

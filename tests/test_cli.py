@@ -378,6 +378,28 @@ def test_merge_self_average_is_identity(workdir):
         np.testing.assert_allclose(merged.params[name].data, param.data, rtol=0, atol=1e-7)
 
 
+def test_exit_3_when_merge_weights_overflow(workdir, capsys):
+    # finite weights whose products and sum overflow give a non-finite merge
+    p = write_json(
+        workdir / "m.json",
+        {"checkpoints": ["base.ckpt", "base.ckpt"], "weights": [1e308, 1e308], "output": "avg.ckpt"},
+    )
+    assert run("merge", p, environ={}) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("forge: data-error:") and "non-finite" in err and err.count("\n") == 1, err
+    assert not (workdir / "avg.ckpt").exists()
+
+
+@pytest.mark.parametrize("magic", [b"forge-checkpoint ", b"forge-checkpoint x", b"forge-checkpoint 1 1"])
+def test_exit_3_on_malformed_checkpoint_header(workdir, capsys, magic):
+    ckpt = workdir / "base.ckpt"
+    ckpt.write_bytes(magic + b"\n" + ckpt.read_bytes().split(b"\n", 1)[1])
+    p = write_json(workdir / "up.json", {"checkpoint": "base.ckpt", "m": 0, "output": "up.ckpt"})
+    assert run("upscale", p, environ={}) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("forge: data-error: checkpoint") and "base.ckpt" in err and err.count("\n") == 1, err
+
+
 def test_sft_artifacts_and_manifest(workdir):
     p = write_json(workdir / "c.json", sft_config(steps=3, log="train.csv", seed=5))
     out = workdir / "run"
@@ -579,6 +601,29 @@ def test_exit_3_on_out_of_range_token_id_in_eval_item(workdir, capsys, where, ba
     err = capsys.readouterr().err
     assert err.startswith("forge: data-error: token id") and err.count("\n") == 1, err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("where,bad", [
+    ("context", [1.5, 2]),  # once scored as ids 1 and 2
+    ("choice", [True]),  # once scored as id 1
+    ("exemplar", [2.0]),
+])
+def test_exit_3_on_non_integer_token_id_in_eval_item(workdir, capsys, where, bad):
+    enc = TOK.encode
+    items = [{"context": enc(f"{k}+1="), "choices": [enc(str(k + 1)), enc("0")], "gold": 0}
+             for k in range(6)]
+    if where == "choice":
+        items[5]["choices"][1] = bad
+    else:
+        items[5 if where == "context" else 2]["context"] = bad
+    (workdir / "ll.jsonl").write_text("".join(json.dumps(it) + "\n" for it in items), encoding="utf-8")
+    write_json(workdir / "suite.json", {"tasks": [
+        {"name": "arith_ll", "file": "ll.jsonl", "mode": "loglikelihood", "metric": "accuracy", "n_shot": 5},
+    ]})
+    p = write_json(workdir / "e.json", EVAL_BASE)
+    assert run("eval", p, environ={}) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("forge: data-error: token ids must be integers") and err.count("\n") == 1, err
 
 
 # every leaf has a kind

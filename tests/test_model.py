@@ -13,6 +13,7 @@ from forge.model import (
     YarnParams,
     apply_rope,
     build_attention_mask,
+    check_token_ids,
     expected_param_shapes,
     forward,
     gqa_attention,
@@ -172,8 +173,9 @@ def test_rope_records_one_node_per_tensor():
 
 
 def test_toy_layer_tape_nodes():
-    """Each layer adds at most 38 nodes to forward's tape, its 9 weights
-    included; each RMSNorm, score softmax and SwiGLU gate is one node."""
+    """Each layer adds at most 22 nodes to forward's tape, its 9 weights
+    included; each RMSNorm, attention and SwiGLU gate is one node, with no
+    head reshape, transpose or rotation of its own."""
     def ops(n_layers):
         cfg = toy_config(n_layers=n_layers, d_model=32, n_heads=4, n_kv_heads=2, head_size=8, d_ff=64)
         with Graph() as g:
@@ -182,9 +184,11 @@ def test_toy_layer_tape_nodes():
 
     one, two = ops(1), ops(2)
     assert two.count("leaf") - one.count("leaf") == 9
-    for op, count in (("rms_norm", 2), ("masked_softmax", 1), ("swiglu", 1)):
+    for op, count in (("rms_norm", 2), ("attention", 1), ("swiglu", 1)):
         assert two.count(op) - one.count(op) == count
-    assert len(two) - len(one) <= 38
+    for op in ("masked_softmax", "rotate_pairs", "transpose", "reshape"):
+        assert op not in two
+    assert len(two) - len(one) <= 22
 
 
 def test_rope_table_tensor_mismatch():
@@ -575,6 +579,29 @@ def test_group_logits_follow_the_given_order():
 def test_per_sequence_inputs_are_checked(call, message):
     with pytest.raises(ValueError, match=message):
         call(init_params(toy_config(), named_rng(7, "group")))
+
+
+@pytest.mark.parametrize("call", [
+    lambda ck: check_token_ids([1.5, 2], 11),
+    lambda ck: check_token_ids([True], 11),
+    lambda ck: check_token_ids(np.array([1.0, 2.0]), 11),
+    lambda ck: check_token_ids(["1"], 11),
+    lambda ck: forward(ck, [1, 2.5]),
+    lambda ck: decode.prefill(ck, [2.0]),
+    lambda ck: decode.extend(ck, [[1.5]], decode.KVCache(keys=[], values=[])),
+    lambda ck: decode.step(ck, [False], decode.prefill(ck, [1])[1]),
+], ids=["float", "bool", "float-array", "str", "forward", "prefill", "extend", "step"])
+def test_non_integer_token_ids_are_rejected(call):
+    # ids were once cast: 1.5 scored as id 1 and True as id 1
+    with pytest.raises(ValueError, match="token ids must be integers"):
+        call(init_params(toy_config(), named_rng(7, "group")))
+
+
+def test_integer_token_ids_of_any_width_are_kept():
+    for ids in ([1, 2], np.array([1, 2], dtype=np.uint8), np.array([1, 2], dtype=np.int32)):
+        out = check_token_ids(ids, 11)
+        assert out.dtype == np.int64 and out.tolist() == [1, 2]
+    assert check_token_ids([], 11).shape == (0,)  # an empty list is float64 to numpy; its errors stay the caller's
 
 
 # -- attention mask helper ---------------------------------------------------------

@@ -551,26 +551,56 @@ def swiglu_reference(a, b):
     return a.silu() * b
 
 
+def attention_reference(q, k, v, count, hs, mask, rope, scale, fill):
+    """The composite that model.gqa_attention recorded per bucket before the
+    primitive (17 tape nodes): head reshapes and transposes, ``rotate_pairs``,
+    two matmuls and the masked softmax."""
+    t_len, nh, nkv = q.shape[0] // count, q.shape[1] // hs, k.shape[1] // hs
+
+    def heads(x, n):
+        return x.reshape(count, t_len, n, hs).transpose(0, 2, 1, 3)
+
+    q, k, v = heads(q, nh), heads(k, nkv), heads(v, nkv)
+    if rope is not None:
+        q, k = T.rotate_pairs(q, *rope), T.rotate_pairs(k, *rope)
+    scores = q.reshape(count, nkv, nh // nkv, t_len, hs) @ k.reshape(count, nkv, 1, t_len, hs).transpose(0, 1, 2, 4, 3)
+    out = masked_softmax_reference(scores, mask, scale, fill) @ v.reshape(count, nkv, 1, t_len, hs)
+    return out.transpose(0, 3, 1, 2, 4).reshape(count * t_len, nh * hs)
+
+
+def quarter_turns(rng, shape, dtype):
+    """Exact rotation tables of multiples of 90 degrees: integer inputs stay integers."""
+    turns = rng.integers(0, 4, shape)
+    return np.array([1, 0, -1, 0], dtype=dtype)[turns], np.array([0, 1, 0, -1], dtype=dtype)[turns]
+
+
 def layer_cases(rng, dtype):
     """name: (primitive, composite reference, input arrays, other consumer of
     the first input or None). Integer-valued scores tie often, and one
-    masked row has no key left, so max's tie split is exercised."""
+    masked row has no key left, so max's tie split is exercised. The
+    attention cases take two sequences of 5 rows, 4 query heads over 2 KV
+    heads of 4 channels; the first sequence's rotation is by quarter turns,
+    so its integer heads keep integer (often tied) scores, the second's by
+    arbitrary angles."""
     mask = np.tril(np.ones((5, 5), dtype=bool)) & (rng.random((5, 5)) < 0.8)
     mask[0] = False
-    scores = rng.integers(-2, 3, (2, 3, 5, 5)).astype(dtype)
+    quarter, angles = quarter_turns(rng, (5, 2), dtype), rotation_tables(rng, 5, 2, dtype)
+    rope = tuple(np.stack([a, b])[:, None] for a, b in zip(quarter, angles))  # (2, 1, 5, 2) each
+    heads = [rng.integers(-2, 3, (10, width)).astype(dtype) for width in (16, 8, 8)]
     return {
         "rms_norm": (lambda x, g: T.rms_norm(x, g, 1e-6), lambda x, g: rms_norm_reference(x, g, 1e-6),
                      [rng.standard_normal((4, 6)).astype(dtype), rng.standard_normal(6).astype(dtype)],
                      lambda y, x: x + y),
-        "masked_softmax": (lambda s: T.masked_softmax(s, mask, 0.35, -1e9),
-                           lambda s: masked_softmax_reference(s, mask, 0.35, -1e9), [scores], None),
-        "softmax_no_mask": (lambda s: T.masked_softmax(s, None, 0.35, -1e9),
-                            lambda s: masked_softmax_reference(s, None, 0.35, -1e9), [scores], None),
+        "attention": (lambda q, k, v: T.attention(q, k, v, 2, 4, mask, rope, 0.35, -1e9),
+                      lambda q, k, v: attention_reference(q, k, v, 2, 4, mask, rope, 0.35, -1e9), heads, None),
+        "attention_plain": (lambda q, k, v: T.attention(q, k, v, 2, 4, None, None, 0.35, -1e9),
+                            lambda q, k, v: attention_reference(q, k, v, 2, 4, None, None, 0.35, -1e9), heads,
+                            None),
         "swiglu": (T.swiglu, swiglu_reference, [rng.standard_normal((4, 6)).astype(dtype) for _ in "ab"], None),
     }
 
 
-LAYER_CASES = ["rms_norm", "masked_softmax", "softmax_no_mask", "swiglu"]
+LAYER_CASES = ["rms_norm", "attention", "attention_plain", "swiglu"]
 
 
 @pytest.mark.parametrize("name", LAYER_CASES)
@@ -585,7 +615,7 @@ def test_grad_layer_primitives(name):
 # a log_softmax head sends back float64 gradients for float32 inputs, since
 # max_'s VJP divides by an int64 tie count; a linear head keeps float32
 @pytest.mark.parametrize("dtype,head", [(np.float32, "log_softmax"), (np.float32, "linear"),
-                                        (np.float64, "log_softmax")])
+                                        (np.float64, "log_softmax"), (np.float64, "linear")])
 @pytest.mark.parametrize("name", LAYER_CASES)
 def test_layer_primitive_matches_composite(name, dtype, head):
     op, reference, arrays, consumer = layer_cases(np.random.default_rng(23), dtype)[name]

@@ -210,6 +210,30 @@ def test_checkpoint_load_rejects_truncated(tmp_path):
         load_checkpoint(p)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda head: [b"forge-checkpoint "] + head[1:],  # no version: once an IndexError
+    lambda head: [b"forge-checkpoint 2"] + head[1:],
+    lambda head: head[:2] + [head[2] + b" extra"] + head[3:],
+    lambda head: head[:2] + [head[2].replace(b" 0", b" zero")] + head[3:],
+    lambda head: head[:2] + [b"tensor embed.tok -11,-8 0"] + head[3:],
+    lambda head: head[:2] + [b"tensor \xff 1 0"] + head[3:],
+], ids=["no-version", "version-2", "five-fields", "non-integer-offset", "negative-dims", "non-utf8"])
+def test_checkpoint_load_rejects_malformed_header_naming_the_path(tmp_path, edit):
+    p = tmp_path / "h.ckpt"
+    save_checkpoint(init_params(toy_config(2), named_rng(54, "init")), p)
+    head, payload = p.read_bytes().split(b"payload\n", 1)
+    p.write_bytes(b"\n".join(edit(head.split(b"\n")[:-1])) + b"\npayload\n" + payload)
+    with pytest.raises(ValueError, match=r"h\.ckpt"):
+        load_checkpoint(p)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_merge_rejects_weights_whose_sums_overflow():
+    c = init_params(toy_config(2), named_rng(55, "init"))
+    with pytest.raises(ValueError, match="non-finite"):
+        merge_checkpoints([c, c], [1e308, 1e308])
+
+
 @pytest.mark.parametrize("config", [
     lambda d: [],
     lambda d: {**d, "n_experts": 4},
