@@ -48,6 +48,7 @@ from .train.loops import (
     NumericError,
     TrainSettings,
     encode_preference_pairs,
+    keep_freed_pages,
     load_preference_dataset,
     load_rl_dataset,
     train_dpo,
@@ -344,6 +345,10 @@ def validate_config(command: str, config_path, seed_override=None, environ=None)
         raise ConfigError(f"config file not found: {config_path}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {config_path}:{e.lineno}: {e.msg}") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config is not UTF-8 text: {config_path} ({e.reason} at byte {e.start})") from None
+    except OSError as e:  # a directory, say
+        raise ConfigError(f"config cannot be read: {config_path}: {e.strerror}") from None
     cfg = _validate_section(raw, SCHEMAS[command], "")
     user_set = _user_paths(raw) | _apply_env_overrides(cfg, SCHEMAS[command], environ)
     if seed_override is not None:
@@ -496,6 +501,7 @@ def cmd_train_grpo(ctx: RunContext) -> None:
 
 
 def cmd_eval(ctx: RunContext) -> None:
+    keep_freed_pages()  # each item's cache and logits reuse the pages the last item freed
     cfg = ctx.cfg
     ckpt = _load_ckpt(ctx.inp(cfg["checkpoint"]))
     try:

@@ -89,7 +89,7 @@ def _run(ckpt: Checkpoint, tokens: np.ndarray, positions, cache: KVCache, mask) 
             cache.values.append(v)
         x = x + _attend(q, k, v, mask, scale, fill)[0] @ lw["attn.wo"]
         h = _rms_norm(x, lw["ffn_norm.g"], eps)[0]
-        x = x + _swiglu(h @ lw["ffn.w_gate"], h @ lw["ffn.w_up"])[0] @ lw["ffn.w_down"]
+        x = x + _swiglu(h @ lw["ffn.w_gate"], h @ lw["ffn.w_up"]) @ lw["ffn.w_down"]
     return _rms_norm(x, p["final_norm.g"].data, eps)[0] @ p["lm_head"].data
 
 

@@ -71,16 +71,15 @@ class Task:
         where = f"task {self.name!r} item {k}"
         if not isinstance(item.get("context"), list) or not item["context"]:
             raise ValueError(f"{where}: context must be a non-empty token list")
+        gold = item.get("gold")
         if self.mode == "loglikelihood":
             choices = item.get("choices")
             if not isinstance(choices, list) or len(choices) < 2:
                 raise ValueError(f"{where}: loglikelihood items need >= 2 choices")
-            gold = item.get("gold")
-            if not isinstance(gold, int) or not (0 <= gold < len(choices)):
+            if not _is_int(gold) or not (0 <= gold < len(choices)):
                 raise ValueError(f"{where}: gold must index into choices")
-        else:
-            if not isinstance(item.get("gold"), list):
-                raise ValueError(f"{where}: generate items need a gold token list")
+        elif not isinstance(gold, list) or not all(map(_is_int, gold)):
+            raise ValueError(f"{where}: generate items need a gold token list of ints")
 
     def exemplars(self):
         return self.items[: self.n_shot]

@@ -313,6 +313,8 @@ def build_attention_mask(segment_ids: np.ndarray, dtype=bool) -> np.ndarray:
 def check_token_ids(tokens, vocab_size: int) -> np.ndarray:
     """tokens as a 1-D int64 sequence, or ValueError naming another shape, a
     non-integer dtype (floats and bools are never cast) or an id outside [0, vocab_size)."""
+    if isinstance(tokens, (list, tuple)) and bool in map(type, tokens):  # numpy casts [5, True] to int64
+        raise ValueError("token ids must be integers, got bool values")
     tokens = np.asarray(tokens)
     if tokens.size and tokens.dtype.kind not in "iu":
         raise ValueError(f"token ids must be integers, got {tokens.dtype} values")

@@ -21,6 +21,7 @@ too; attention, for one, is ``attention`` over ``_attend``.
 
 from __future__ import annotations
 
+import functools
 import weakref
 
 import numpy as np
@@ -814,7 +815,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, count: int, head_size: int, mask,
     (count·t, nh·hs) and k, v rows (count·t, nkv·hs) split into heads, q and k rotated by ``rope``'s
     (cos, sin) unless it is None, then ``_attend`` under the bool ``mask``. The VJP replays the VJPs of
     the composite (head reshapes and transposes, ``rotate_pairs``, matmuls, scale's mul, ``where``,
-    ``softmax``): q's and k's parts rotate back into their dtype, v's keeps numpy's promotion."""
+    ``softmax``): q's and k's parts rotate back into their dtype, v's keeps numpy's promotion. It
+    recomputes the probabilities as ``_masked_softmax`` does, ``e / total``, instead of keeping them."""
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     for t in (k, v):
         _check_dtypes(q, t, "attention")
@@ -823,7 +825,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, count: int, head_size: int, mask,
     qh, kh, vh = (t.data.reshape(count, t_len, -1, hs).transpose(0, 2, 1, 3) for t in (q, k, v))
     if rope is not None:
         qh, kh = _rotate_pairs(qh, *rope), _rotate_pairs(kh, *rope)
-    out, qg, kt, vg, (p, s, m, e, total) = _attend(qh, kh, vh, mask, scale, fill)
+    out, qg, kt, vg, (_, s, m, e, total) = _attend(qh, kh, vh, mask, scale, fill)
     out = out.reshape(rows, -1)
     if _current_graph() is None:  # no tape: the VJP's tie mask is never read
         return Tensor(out)
@@ -832,7 +834,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, count: int, head_size: int, mask,
     def vjp(i, g):  # part i of (v, k, q), the composite's backward order; the first call computes all
         if not grads:
             g = g.reshape(count, t_len, nkv, -1, hs).transpose(0, 2, 3, 1, 4)
-            gv, ga = _unbroadcast(p.swapaxes(-1, -2) @ g, vg.shape), g @ vg.swapaxes(-1, -2)
+            gv, ga = _unbroadcast((e / total).swapaxes(-1, -2) @ g, vg.shape), g @ vg.swapaxes(-1, -2)
             gs = (ga / total + np.broadcast_to(_unbroadcast(-ga * e / (total * total), total.shape), e.shape)) * e
             gs = gs + np.broadcast_to(_unbroadcast(-gs, total.shape), e.shape) * hit / hit.sum(axis=-1, keepdims=True)
             gs = (gs if mask is None else np.where(mask, gs, dtype(0))) * dtype(scale)
@@ -850,9 +852,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, count: int, head_size: int, mask,
 
 
 def _swiglu(a: np.ndarray, b: np.ndarray):
-    """silu(a) * b, and the sigmoid of a."""
-    sig = _stable_sigmoid(a)
-    return a * sig * b, sig
+    """silu(a) * b."""
+    return a * _stable_sigmoid(a) * b
 
 
 def swiglu(a: Tensor, b: Tensor) -> Tensor:
@@ -861,9 +862,10 @@ def swiglu(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_dtypes(a, b, "swiglu")
     ad, bd = a.data, b.data
-    out, sig = _swiglu(ad, bd)
-    return _make("swiglu", out, [(b, lambda go: go * (ad * sig)),
-                                 (a, lambda go: go * bd * (sig * (1.0 + ad * (1.0 - sig))))])
+    out = _swiglu(ad, bd)
+    sig = functools.cache(lambda: _stable_sigmoid(ad))  # recomputed on the first VJP call, shared by both
+    return _make("swiglu", out, [(b, lambda go: go * (ad * sig())),
+                                 (a, lambda go: go * bd * (sig() * (1.0 + ad * (1.0 - sig()))))])
 
 
 # -- composites ---------------------------------------------------------------

@@ -84,10 +84,10 @@ def _check_finite(value: float, step: int, what: str) -> None:
         raise NumericError(f"step {step}: {what} is not finite ({value})")
 
 
-def _keep_freed_pages() -> None:
-    """On glibc, keep the pages a freed tape held for the next step, instead of
-    trimming them and faulting them back in. Setting either threshold turns
-    glibc's dynamic mmap threshold off, so both are set; 32 MiB is its ceiling."""
+def keep_freed_pages() -> None:
+    """On glibc, keep the pages a freed tape or eval item held for the next one,
+    instead of trimming them and faulting them back in. Setting either threshold
+    turns glibc's dynamic mmap threshold off, so both are set; 32 MiB is its ceiling."""
     if platform.libc_ver()[0] == "glibc":
         mallopt = ctypes.CDLL(None).mallopt
         mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
@@ -120,7 +120,7 @@ def _run_steps(ckpt: Checkpoint, settings: TrainSettings, micro_losses, log_fiel
     builds (scalar loss Tensor, extras dict) under a fresh tape; extras are
     averaged into the step row.
     """
-    _keep_freed_pages()
+    keep_freed_pages()
     state = init_state(ckpt.params)
     writer = _StepWriter(log_path, log_fields)
     rows = []

@@ -40,9 +40,10 @@ def clip_grad_norm(
         raise ValueError(f"max_norm must be positive, got {max_norm}")
     sq = 0.0
     for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
+        g_sq = float(np.square(g, dtype=np.float64).sum())
+        if not np.isfinite(g_sq) and not np.all(np.isfinite(g)):  # a float64 square can overflow
             raise ValueError(f"non-finite gradient in parameter {name!r}")
-        sq += float((g.astype(np.float64) ** 2).sum())
+        sq += g_sq
     norm = float(np.sqrt(sq))
     if norm <= max_norm:
         return grads, norm
@@ -66,6 +67,8 @@ def adamw_step(
 
     m <- b1 m + (1-b1) g;  v <- b2 v + (1-b2) g^2
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps) - lr * wd * theta
+    Each parameter takes three temporaries, written by in-place ufuncs in the
+    expressions' order and dtypes: g's terms in g's dtype, the update in m's.
     """
     state.t += 1
     bc1 = 1.0 - beta1 ** state.t
@@ -76,11 +79,17 @@ def adamw_step(
             raise ValueError(f"gradient shape {g.shape} != parameter {name} shape {p.data.shape}")
         m = state.m[name]
         v = state.v[name]
+        g_term = np.multiply(1.0 - beta1, g)
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += g_term
+        np.multiply(1.0 - beta2, g, out=g_term)
+        g_term *= g
         v *= beta2
-        v += (1.0 - beta2) * g * g
-        update = lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        v += g_term
+        update = np.divide(m, bc1)
+        np.multiply(lr, update, out=update)
+        den = np.divide(v, bc2, out=g_term if g_term.dtype == v.dtype else None)
+        update /= np.add(np.sqrt(den, out=den), eps, out=den)
         if weight_decay:
-            update = update + lr * weight_decay * p.data
+            update += np.multiply(lr * weight_decay, p.data, out=den)
         p.data -= update.astype(p.data.dtype, copy=False)

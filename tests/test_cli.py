@@ -205,6 +205,19 @@ def test_exit_2_on_config_error(workdir, capsys):
     assert err.startswith("forge: config-error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("kind", ["not-utf8", "directory"])
+def test_exit_2_on_config_that_cannot_be_read_as_text(workdir, capsys, kind):
+    p = workdir / "c.json"
+    if kind == "directory":
+        p.mkdir()
+    else:
+        p.write_bytes(b"\xff\xfe{}")
+    assert run("upscale", p, environ={}) == 2
+    err = capsys.readouterr().err
+    message = "config cannot be read" if kind == "directory" else "config is not UTF-8 text"
+    assert err.startswith(f"forge: config-error: {message}: {p}") and err.count("\n") == 1, err
+
+
 def test_error_is_one_line_when_a_value_holds_newlines(workdir, capsys):
     p = write_json(workdir / "c.json", {"checkpoint": "a\nb.ckpt", "m": 0})
     assert run("upscale", p, environ={}) == 2
@@ -624,6 +637,40 @@ def test_exit_3_on_non_integer_token_id_in_eval_item(workdir, capsys, where, bad
     assert run("eval", p, environ={}) == 3
     err = capsys.readouterr().err
     assert err.startswith("forge: data-error: token ids must be integers") and err.count("\n") == 1, err
+
+
+BOOL_IDS = "token ids must be integers, got bool values"
+
+
+@pytest.mark.parametrize("mode,where,message", [
+    ("loglikelihood", "context", BOOL_IDS),
+    ("loglikelihood", "choice", BOOL_IDS),
+    ("loglikelihood", "gold", "suite: task 't' item 1: gold must index into choices"),
+    ("generate", "context", BOOL_IDS),
+    ("generate", "gold", "suite: task 't' item 1: generate items need a gold token list of ints"),
+], ids=["ll-context", "ll-choice", "ll-gold-index", "gen-context", "gen-gold"])
+def test_exit_3_on_json_boolean_in_eval_item(workdir, capsys, mode, where, message):
+    """numpy casts [5, true] to ids [5, 1], and true is an int index in Python."""
+    enc = TOK.encode
+    items = [{"context": enc(f"{k}+1="), "choices": [enc(str(k + 1)), enc("0")], "gold": 1}
+             for k in range(2)]
+    if mode == "generate":
+        items = [{"context": it["context"], "gold": enc("2")} for it in items]
+    item = items[1]
+    if where == "gold":
+        item["gold"] = True if mode == "loglikelihood" else [5, True]
+    elif where == "choice":
+        item["choices"][0] = item["choices"][0] + [True]
+    else:
+        item["context"] = item["context"] + [True]
+    (workdir / "t.jsonl").write_text("".join(json.dumps(it) + "\n" for it in items), encoding="utf-8")
+    write_json(workdir / "suite.json", {"tasks": [
+        {"name": "t", "file": "t.jsonl", "mode": mode, "metric": "accuracy" if mode == "loglikelihood"
+         else "exact_match", "max_new": 2},
+    ]})
+    assert run("eval", write_json(workdir / "e.json", EVAL_BASE), environ={}) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"forge: data-error: {message}") and err.count("\n") == 1, err
 
 
 # every leaf has a kind

@@ -1,6 +1,7 @@
 """Transformer pieces vs hand values and independent numpy oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,6 +190,39 @@ def test_toy_layer_tape_nodes():
     for op in ("masked_softmax", "rotate_pairs", "transpose", "reshape"):
         assert op not in two
     assert len(two) - len(one) <= 22
+
+
+def tape_bytes(fn) -> int:
+    """tracemalloc's current bytes after fn runs under a Graph, minus before;
+    the graph and fn's result stay alive while they are counted."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with Graph() as g:
+            out = fn()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert g.nodes and out is not None
+    return kept
+
+
+def test_one_layer_tape_keeps_no_attention_probabilities():
+    """At 256 tokens and 4 heads the probabilities are 1 MiB, more than the
+    slack: the VJP recomputes them from the exponentials and row sums, which
+    the tape keeps with the bool tie mask; every row-sized array fits in the slack."""
+    cfg = toy_config(n_layers=1, d_model=32, n_heads=4, n_kv_heads=2, head_size=8, d_ff=64,
+                     vocab_size=64, native_ctx=512, extended_ctx=2048)
+    ckpt, t_len = init_params(cfg, named_rng(0, "tape")), 256
+    scores = cfg.n_heads * t_len * t_len
+    kept = tape_bytes(lambda: forward(ckpt, np.arange(t_len) % cfg.vocab_size))
+    assert kept <= scores * 4 + scores + 768 * 1024  # float32 exponentials, bool tie mask, slack
+
+
+def test_swiglu_tape_keeps_its_inputs_only():
+    a, b = (Tensor(np.full((256, 1024), x, dtype=np.float32), requires_grad=True) for x in (0.5, 2.0))
+    out_bytes = a.data.nbytes
+    assert tape_bytes(lambda: T.swiglu(a, b)) <= out_bytes + 64 * 1024  # the output, no sigmoid of a
 
 
 def test_rope_table_tensor_mismatch():
@@ -595,6 +629,13 @@ def test_non_integer_token_ids_are_rejected(call):
     # ids were once cast: 1.5 scored as id 1 and True as id 1
     with pytest.raises(ValueError, match="token ids must be integers"):
         call(init_params(toy_config(), named_rng(7, "group")))
+
+
+@pytest.mark.parametrize("ids", [[5, True], (False, 3), [2, 3, True]], ids=["list", "tuple", "last"])
+def test_token_ids_mixing_ints_and_bools_are_rejected(ids):
+    # numpy gives [5, True] an int64 dtype, so it was once scored as ids 5 and 1
+    with pytest.raises(ValueError, match="token ids must be integers, got bool values"):
+        check_token_ids(ids, 11)
 
 
 def test_integer_token_ids_of_any_width_are_kept():

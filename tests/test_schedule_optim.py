@@ -198,3 +198,77 @@ def test_adamw_shape_mismatch():
     state = init_state(params)
     with pytest.raises(ValueError, match="shape"):
         adamw_step(params, {"w": np.zeros(4)}, state, lr=0.1)
+
+
+# -- in-place update and clipping against the plain expressions -------------------
+
+
+def reference_clip(grads, max_norm):
+    """clip_grad_norm as first written: a finiteness pass and a float64 copy per parameter."""
+    sq = 0.0
+    for name, g in grads.items():
+        if not np.all(np.isfinite(g)):
+            raise ValueError(f"non-finite gradient in parameter {name!r}")
+        sq += float((g.astype(np.float64) ** 2).sum())
+    norm = float(np.sqrt(sq))
+    if norm > max_norm:
+        for g in grads.values():
+            g *= max_norm / norm
+    return norm
+
+
+def reference_adamw(params, grads, m, v, t, lr, b1, b2, eps, wd):
+    """adamw_step as first written: one full-size temporary per operation."""
+    bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    for name, g in grads.items():
+        m[name] *= b1
+        m[name] += (1.0 - b1) * g
+        v[name] *= b2
+        v[name] += (1.0 - b2) * g * g
+        update = lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+        if wd:
+            update = update + lr * wd * params[name]
+        params[name] -= update.astype(params[name].dtype, copy=False)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.1])
+@pytest.mark.parametrize("param_dtype,grad_dtype", [
+    (np.float32, np.float32), (np.float32, np.float64), (np.float64, np.float64),
+], ids=["f32", "f32-param-f64-grad", "f64"])
+def test_adamw_and_clip_match_the_expressions_bit_for_bit(param_dtype, grad_dtype, weight_decay):
+    rng = np.random.default_rng(3)
+    shapes = {"a": (7, 5), "b": (13,), "c": (3, 4, 2)}
+    params = {k: Tensor(rng.standard_normal(s).astype(param_dtype)) for k, s in shapes.items()}
+    ref = {k: p.data.copy() for k, p in params.items()}
+    state = init_state(params)
+    ref_m, ref_v = ({k: np.zeros_like(p) for k, p in ref.items()} for _ in range(2))
+    for t in range(1, 4):
+        grads = {k: (rng.standard_normal(s) * 2).astype(grad_dtype) for k, s in shapes.items()}
+        ref_grads = {k: g.copy() for k, g in grads.items()}
+        grads, norm = clip_grad_norm(grads, max_norm=1.5)
+        assert norm == reference_clip(ref_grads, 1.5)
+        lr = 0.01 / t
+        adamw_step(params, grads, state, lr, beta1=0.9, beta2=0.95, eps=1e-8, weight_decay=weight_decay)
+        reference_adamw(ref, ref_grads, ref_m, ref_v, t, lr, 0.9, 0.95, 1e-8, weight_decay)
+        for k in shapes:
+            assert params[k].data.dtype == param_dtype
+            for got, want in ((params[k].data, ref[k]), (state.m[k], ref_m[k]), (state.v[k], ref_v[k]),
+                              (grads[k], ref_grads[k])):
+                assert got.dtype == want.dtype and np.array_equal(got, want), k
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_clip_raises_on_nan_and_inf(dtype, bad):
+    grads = {"a": np.ones(4, dtype=dtype), "b": np.array([1.0, bad, 2.0], dtype=dtype)}
+    with pytest.raises(ValueError, match="non-finite gradient in parameter 'b'"):
+        clip_grad_norm(grads)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_clip_keeps_a_finite_float64_gradient_whose_squares_overflow():
+    grads = {"a": np.array([1e200, 1.0]), "b": np.array([3.0])}
+    ref = {k: g.copy() for k, g in grads.items()}
+    _, norm = clip_grad_norm(grads)
+    assert norm == reference_clip(ref, 1.0) == np.inf
+    assert all(np.array_equal(grads[k], ref[k]) for k in grads)

@@ -1,14 +1,17 @@
 """Depth up-scaling map, merging identities, and checkpoint file round trips."""
 
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from forge.checkpoint import load_checkpoint, save_checkpoint
-from forge.model import ModelConfig, forward, init_params, param_count, validate_checkpoint
+from forge.model import Checkpoint, ModelConfig, forward, init_params, param_count, validate_checkpoint
 from forge.rng import named_rng
+from forge.tensor import Tensor
 from forge.upscale import (
     UpscaleSpec,
     depth_upscale,
@@ -225,6 +228,89 @@ def test_checkpoint_load_rejects_malformed_header_naming_the_path(tmp_path, edit
     p.write_bytes(b"\n".join(edit(head.split(b"\n")[:-1])) + b"\npayload\n" + payload)
     with pytest.raises(ValueError, match=r"h\.ckpt"):
         load_checkpoint(p)
+
+
+MIB = 1 << 20
+
+
+def wide_config():
+    """A 6.5 MiB payload whose largest tensor (the embedding) is 1 MiB."""
+    return ModelConfig(
+        n_layers=2, d_model=256, n_heads=8, n_kv_heads=4, head_size=32,
+        d_ff=512, vocab_size=1024, rope_theta=10000.0, native_ctx=64,
+        extended_ctx=256, rmsnorm_eps=1e-6,
+    )
+
+
+def concatenated_layout(ckpt) -> bytes:
+    """The file as first written: the header, then every tensor's float32
+    ``tobytes()`` concatenated in directory order."""
+    names = sorted(ckpt.params)
+    blobs = [np.ascontiguousarray(ckpt.params[n].data, dtype=np.float32).tobytes() for n in names]
+    lines = [f"forge-checkpoint {ckpt.format_version}",
+             f"config {json.dumps(ckpt.config.to_dict(), sort_keys=True)}"]
+    offset = 0
+    for name, blob in zip(names, blobs):
+        lines.append(f"tensor {name} {','.join(str(d) for d in ckpt.params[name].shape)} {offset}")
+        offset += len(blob)
+    return ("\n".join(lines) + "\npayload\n").encode() + b"".join(blobs)
+
+
+def traced_peak(fn) -> int:
+    """tracemalloc's peak bytes while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("layout", ["float32", "float64", "non-contiguous"])
+def test_checkpoint_save_writes_the_concatenated_layout(tmp_path, layout):
+    dtype = np.float64 if layout == "float64" else np.float32
+    ckpt = init_params(toy_config(2), named_rng(56, "init"), dtype=dtype)
+    if layout == "non-contiguous":  # every other element of a stacked copy: a strided view
+        params = {n: Tensor(np.stack([t.data, t.data], axis=-1)[..., 0]) for n, t in ckpt.params.items()}
+        assert not any(t.data.flags.c_contiguous for t in params.values())
+        ckpt = Checkpoint(config=ckpt.config, params=params)
+    p = tmp_path / "s.ckpt"
+    save_checkpoint(ckpt, p)
+    assert p.read_bytes() == concatenated_layout(ckpt)
+
+
+@pytest.mark.parametrize("damage", ["no-marker", "inside-first-tensor", "inside-last-tensor", "trailing"])
+def test_checkpoint_load_rejects_a_damaged_payload_naming_the_path(tmp_path, damage):
+    ckpt = init_params(toy_config(2), named_rng(57, "init"))
+    p = tmp_path / "d.ckpt"
+    save_checkpoint(ckpt, p)
+    head, payload = p.read_bytes().split(b"payload\n", 1)
+    names = sorted(ckpt.params)
+    blob, message = {
+        "no-marker": (head, "missing payload marker"),
+        "inside-first-tensor": (head + b"payload\n" + payload[: ckpt.params[names[0]].data.nbytes // 2],
+                                f"payload truncated at tensor {names[0]}"),
+        "inside-last-tensor": (head + b"payload\n" + payload[:-4], f"payload truncated at tensor {names[-1]}"),
+        "trailing": (head + b"payload\n" + payload + bytes(4), "4 trailing payload bytes"),
+    }[damage]
+    p.write_bytes(blob)
+    with pytest.raises(ValueError, match=re.escape(f"{p}: {message}")):
+        load_checkpoint(p)
+
+
+def test_checkpoint_load_holds_one_copy_of_the_payload(tmp_path):
+    p = tmp_path / "w.ckpt"
+    save_checkpoint(init_params(wide_config(), named_rng(58, "init")), p)
+    payload = len(p.read_bytes().split(b"payload\n", 1)[1])
+    assert payload > 6 * MIB
+    assert traced_peak(lambda: load_checkpoint(p)) <= payload + MIB
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_checkpoint_save_holds_at_most_one_tensor_copy(tmp_path, dtype):
+    ckpt = init_params(wide_config(), named_rng(58, "init"), dtype=dtype)
+    largest = max(t.data.size for t in ckpt.params.values()) * 4
+    assert traced_peak(lambda: save_checkpoint(ckpt, tmp_path / "w.ckpt")) <= largest + MIB
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
