@@ -1,16 +1,18 @@
 """Decoder-only transformer: RMSNorm, SwiGLU, RoPE with long-context frequency
 interpolation, grouped-query attention (one ``tensor.attention`` node per
-bucket, whose forward is ``decode``'s kernel ``_attend``), pre-norm residuals.
+layer over every bucket, whose forward is ``decode``'s kernel ``_attend``),
+pre-norm residuals.
 
 All functions are pure over a parameter dict so the same code path serves
 training (under a tape) and evaluation (tape-free). ``forward`` maps T token
 ids to a T x vocab logit matrix, or a group of sequences (a GRPO group's
 rollouts, a DPO pair) to their rows of logits in one pass: the layers work
-on a flat block of rows (``tensor.RowBlock``) whose equal-length sequences
-are stacked on a batch axis for the matmuls and attention, and the result
-is bit-identical to a pass per sequence. Sampling and greedy generation do
-not call ``forward`` per token: ``forge.decode`` runs the layer in numpy with
-a key/value cache, on the kernels of the same ``tensor`` primitives.
+on a flat block of rows in the given order (``tensor.RowBlock``) whose
+equal-length sequences are stacked on a batch axis for the matmuls and
+attention, and the result is bit-identical to a pass per sequence. Sampling
+and greedy generation do not call ``forward`` per token: ``forge.decode``
+runs the layer in numpy with a key/value cache, on the kernels of the same
+``tensor`` primitives.
 """
 
 from __future__ import annotations
@@ -274,31 +276,28 @@ def gqa_attention(
     N rows); weights holds wq/wk/wv/wo. Without a block, mask is a (T, T)
     boolean and tables a ``RopeTables`` (or None); with one, each is a list
     holding one entry per bucket, the mask (T, T) or (count, 1, 1, T, T)
-    and the tables' cos/sin (T, half) or (count, 1, T, half). True marks
-    attendable (key) positions, never a future one. Scores are scaled by
-    mscale^2 / sqrt(head_size). The projections run over the whole block,
-    and the rest is one ``tensor.attention`` node per bucket, never over
-    padding or across sequences.
+    and the tables' cos/sin (T, half) or (count, 1, T, half), all with the
+    first entry's mscale. True marks attendable (key) positions, never a
+    future one. Scores are scaled by mscale^2 / sqrt(head_size). The
+    projections run over the whole block, and the rest is one
+    ``tensor.attention`` node over every bucket, never over padding or
+    across sequences.
     """
     if block is None:
         block, mask, tables = T.RowBlock([x.shape[0]]), [mask], [tables]
-    hs, n_rows = config.head_size, x.shape[0]
-    projected = [T.block_matmul(x, weights[f"attn.w{n}"], block) for n in "qkv"]
-
-    outs = []
-    for (start, count, t_len), bucket_mask, bucket_tables in zip(block.buckets, mask, tables):
-        bucket_mask = np.asarray(bucket_mask, dtype=bool)
+    if not len(mask) == len(tables) == len(block.buckets):
+        raise T.ShapeError(f"gqa_attention: {len(mask)} masks, {len(tables)} tables for {len(block.buckets)} buckets")
+    masks = [np.asarray(m, dtype=bool) for m in mask]
+    for (_, _, t_len), bucket_mask in zip(block.buckets, masks):
         if bucket_mask.shape[-2:] != (t_len, t_len):
             raise T.ShapeError(f"gqa_attention: mask shape {bucket_mask.shape}, expected {(t_len, t_len)}")
         if np.any(np.triu(bucket_mask, k=1)):
             raise ValueError("gqa_attention: mask allows attention to a future position")
-        rows = slice(start, start + count * t_len)  # this bucket's
-        q, k, v = projected if count * t_len == n_rows else (T.take_rows(t, rows) for t in projected)
-        rope = None if bucket_tables is None else (bucket_tables.cos.astype(x.dtype), bucket_tables.sin.astype(x.dtype))
-        mscale = 1.0 if bucket_tables is None else bucket_tables.mscale
-        outs.append(T.attention(q, k, v, count, hs, bucket_mask, rope, mscale * mscale / math.sqrt(hs),
-                                neg_inf_for(x.dtype)))
-    out = outs[0] if len(outs) == 1 else T.concat(outs, axis=0)
+    hs = config.head_size
+    q, k, v = (T.block_matmul(x, weights[f"attn.w{n}"], block) for n in "qkv")
+    ropes = [None if t is None else (t.cos.astype(x.dtype), t.sin.astype(x.dtype)) for t in tables]
+    mscale = 1.0 if tables[0] is None else tables[0].mscale
+    out = T.attention(q, k, v, block, hs, masks, ropes, mscale * mscale / math.sqrt(hs), neg_inf_for(x.dtype))
     return T.block_matmul(out, weights["attn.wo"], block)
 
 
@@ -351,7 +350,7 @@ def forward(
     across sample boundaries.
 
     A group runs as one pass, bit-identical per sequence to a pass of each
-    alone. Its rows sit in one block sorted stably by length (``RowBlock``):
+    alone. Its rows sit in one block in the given order (``RowBlock``):
     row-wise ops run once over the block, matmuls and the attention core
     once per bucket of equal-length sequences, and each parameter gradient
     adds its per-sequence parts in reverse sequence order, as separate
@@ -371,23 +370,19 @@ def forward(
             if given is not None and len(given) != len(seq):
                 raise ValueError(f"forward: sequence {i} has {len(seq)} tokens but {len(given)} {name}")
     block = T.RowBlock([len(s) for s in seqs])
-    order = block.order
-    seg_rows = np.concatenate([
-        np.zeros(len(seqs[i]), dtype=np.int64) if segs[i] is None else np.asarray(segs[i]) for i in order
-    ])
-    rope = rope_frequencies(cfg.head_size, cfg.rope_theta, np.concatenate([
-        np.arange(len(seqs[i])) if poss[i] is None else np.asarray(poss[i]) for i in order
-    ]), yarn)
+    seg_rows = np.concatenate([np.zeros(len(s), dtype=np.int64) if g is None else np.asarray(g)
+                               for s, g in zip(seqs, segs)])
+    rope = rope_frequencies(cfg.head_size, cfg.rope_theta, np.concatenate(
+        [np.arange(len(s)) if g is None else np.asarray(g) for s, g in zip(seqs, poss)]), yarn)
     half = cfg.head_size // 2
     masks, tables = [], []
-    for start, count, t_len in block.buckets:
-        rows = slice(start, start + count * t_len)
+    for rows, count, t_len in block.buckets:
         masks.append(np.stack([build_attention_mask(seg) for seg in seg_rows[rows].reshape(count, t_len)])[:, None, None])
         tables.append(RopeTables(cos=rope.cos[rows].reshape(count, 1, t_len, half),
                                  sin=rope.sin[rows].reshape(count, 1, t_len, half), mscale=rope.mscale))
 
     p = ckpt.params
-    x = T.embedding(p["embed.tok"], np.concatenate([seqs[i] for i in order]), block)
+    x = T.embedding(p["embed.tok"], np.concatenate(seqs), block)
     for i in range(cfg.n_layers):
         lw = {k: p[f"layers.{i}.{k}"] for k in _LAYER_SHAPES}
         h = rms_norm(x, lw["attn_norm.g"], cfg.rmsnorm_eps, block)
@@ -395,7 +390,4 @@ def forward(
         h = rms_norm(x, lw["ffn_norm.g"], cfg.rmsnorm_eps, block)
         x = x + swiglu_ffn(h, lw["ffn.w_gate"], lw["ffn.w_up"], lw["ffn.w_down"], block)
     x = rms_norm(x, p["final_norm.g"], cfg.rmsnorm_eps, block)
-    logits = T.block_matmul(x, p["lm_head"], block)
-    if order != sorted(order):
-        logits = T.take_rows(logits, np.concatenate([np.arange(a, b) for a, b in block.spans]))
-    return logits
+    return T.block_matmul(x, p["lm_head"], block)

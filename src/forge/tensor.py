@@ -596,22 +596,6 @@ def slice_(a: Tensor, key) -> Tensor:
     return _make("slice", out, [(a, vjp)])
 
 
-def take_rows(a: Tensor, rows) -> Tensor:
-    """a[rows] for a slice or an array of distinct row indices. The gradient
-    scatters back into zeros of its own dtype, where ``slice_`` casts it to
-    a's: a float64 upstream gradient stays float64, as it would without the
-    indexing."""
-    a = _as_tensor(a)
-    shape = a.shape
-
-    def vjp(g):
-        full = np.zeros(shape, dtype=g.dtype)
-        full[rows] = g
-        return full
-
-    return _make("take_rows", a.data[rows], [(a, vjp)])
-
-
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice of ``length`` elements along one axis."""
     key = [slice(None)] * a.ndim
@@ -646,37 +630,29 @@ def rotate_pairs(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
 class RowBlock:
     """Where the sequences of a group sit in one flat block of rows.
 
-    Rows are stored sorted stably by sequence length, so sequences of equal
-    length sit back to back in a bucket that matmuls and attention treat as
-    one stacked ``(count, length, ...)`` batch. Per-row arithmetic then
-    matches a separate pass per sequence bit for bit: a stacked matmul runs
-    the same gemm per item, while one flat gemm over all rows may not.
-    ``spans[i]`` is sequence i's (start, stop) row range, in the order the
-    lengths were given; ``buckets`` holds (start, count, length) per bucket.
+    Rows are in the order the sequences were given: ``spans[i]`` is sequence
+    i's (start, stop) row range. Sequences of equal length form a bucket that
+    matmuls and attention treat as one stacked ``(count, length, ...)`` batch,
+    so per-row arithmetic matches a separate pass per sequence bit for bit: a
+    stacked matmul runs the same gemm per item, while one flat gemm over all
+    rows may not. ``buckets`` holds (rows, count, length) per distinct length,
+    shortest first; rows indexes the bucket's rows in sequence order, a slice
+    when they are contiguous and an int array otherwise.
     """
 
     __slots__ = ("spans", "buckets")
 
     def __init__(self, lengths):
         lengths = [int(n) for n in lengths]
-        spans: list = [None] * len(lengths)
-        buckets: list[tuple[int, int, int]] = []
-        start = 0
-        for i in sorted(range(len(lengths)), key=lengths.__getitem__):
-            n = lengths[i]
-            spans[i] = (start, start + n)
-            if buckets and buckets[-1][2] == n:
-                buckets[-1] = (buckets[-1][0], buckets[-1][1] + 1, n)
-            else:
-                buckets.append((start, 1, n))
-            start += n
-        self.spans = tuple(spans)
+        stops = np.cumsum(lengths, dtype=np.int64).tolist()
+        self.spans = tuple((b - n, b) for n, b in zip(lengths, stops))
+        buckets = []
+        for n in sorted(set(lengths)):
+            spans = [span for span, m in zip(self.spans, lengths) if m == n]
+            a, b = spans[0][0], spans[-1][1]
+            rows = slice(a, b) if b - a == n * len(spans) else np.concatenate([np.arange(*span) for span in spans])
+            buckets.append((rows, len(spans), n))
         self.buckets = tuple(buckets)
-
-    @property
-    def order(self) -> list[int]:
-        """Sequence indices in the order their rows are stored."""
-        return sorted(range(len(self.spans)), key=lambda i: self.spans[i][0])
 
 
 def _fold_spans(block: RowBlock, part) -> np.ndarray:
@@ -698,11 +674,11 @@ def _per_bucket(block: RowBlock, rows: np.ndarray, fn) -> np.ndarray:
         out = fn(rows.reshape(count, length, rows.shape[-1]))
         return out.reshape(count * length, out.shape[-1])
     out = None
-    for start, count, length in block.buckets:
-        part = fn(rows[start:start + count * length].reshape(count, length, rows.shape[-1]))
+    for at, count, length in block.buckets:
+        part = fn(rows[at].reshape(count, length, rows.shape[-1]))
         if out is None:
             out = np.empty((len(rows), part.shape[-1]), dtype=part.dtype)
-        out[start:start + count * length] = part.reshape(count * length, part.shape[-1])
+        out[at] = part.reshape(count * length, part.shape[-1])
     return out
 
 
@@ -809,43 +785,55 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask, scale: float, fil
     return out.transpose(0, 3, 1, 2, 4).reshape(b, t_len, nh * hs), q, kt, v, soft
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, count: int, head_size: int, mask, rope, scale: float,
+def attention(q: Tensor, k: Tensor, v: Tensor, block: RowBlock, head_size: int, masks, ropes, scale: float,
               fill: float) -> Tensor:
-    """Grouped-query attention within each of ``count`` equal-length sequences, as one node: q rows
-    (count·t, nh·hs) and k, v rows (count·t, nkv·hs) split into heads, q and k rotated by ``rope``'s
-    (cos, sin) unless it is None, then ``_attend`` under the bool ``mask``. The VJP replays the VJPs of
-    the composite (head reshapes and transposes, ``rotate_pairs``, matmuls, scale's mul, ``where``,
+    """Grouped-query attention within each sequence of ``block``, as one node over every bucket. A
+    bucket's q rows (count·t, nh·hs) and k, v rows (count·t, nkv·hs) split into heads, q and k rotated
+    by its (cos, sin) in ``ropes`` unless that is None, then ``_attend`` under its bool mask in
+    ``masks``; both lists hold one entry per bucket. The VJP replays, per bucket, the VJPs of the
+    composite (head reshapes and transposes, ``rotate_pairs``, matmuls, scale's mul, ``where``,
     ``softmax``): q's and k's parts rotate back into their dtype, v's keeps numpy's promotion. It
     recomputes the probabilities as ``_masked_softmax`` does, ``e / total``, instead of keeping them."""
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     for t in (k, v):
         _check_dtypes(q, t, "attention")
+    if not len(masks) == len(ropes) == len(block.buckets):
+        raise ShapeError(f"attention: {len(masks)} masks and {len(ropes)} ropes for {len(block.buckets)} buckets")
     rows, hs, dtype = q.shape[0], head_size, q.data.dtype.type
-    t_len, nkv = rows // count, k.shape[1] // hs
-    qh, kh, vh = (t.data.reshape(count, t_len, -1, hs).transpose(0, 2, 1, 3) for t in (q, k, v))
-    if rope is not None:
-        qh, kh = _rotate_pairs(qh, *rope), _rotate_pairs(kh, *rope)
-    out, qg, kt, vg, (_, s, m, e, total) = _attend(qh, kh, vh, mask, scale, fill)
-    out = out.reshape(rows, -1)
-    if _current_graph() is None:  # no tape: the VJP's tie mask is never read
+    nkv, taped, saved = k.shape[1] // hs, _current_graph() is not None, []
+    out = np.empty((rows, q.shape[1]), dtype=q.data.dtype)  # _attend's rows keep q's dtype
+    for (at, count, t_len), mask, rope in zip(block.buckets, masks, ropes):
+        qh, kh, vh = (t.data[at].reshape(count, t_len, -1, hs).transpose(0, 2, 1, 3) for t in (q, k, v))
+        if rope is not None:
+            qh, kh = _rotate_pairs(qh, *rope), _rotate_pairs(kh, *rope)
+        part, qg, kt, vg, (_, s, m, e, total) = _attend(qh, kh, vh, mask, scale, fill)
+        out[at] = part.reshape(count * t_len, -1)
+        if taped:  # without a tape, the VJP's arrays and tie mask are never read
+            saved.append((qg, kt, vg, e, total, s == m))
+    if not taped:
         return Tensor(out)
-    hit, grads = s == m, {}
+    grads: dict = {}
 
     def vjp(i, g):  # part i of (v, k, q), the composite's backward order; the first call computes all
         if not grads:
-            g = g.reshape(count, t_len, nkv, -1, hs).transpose(0, 2, 3, 1, 4)
-            gv, ga = _unbroadcast((e / total).swapaxes(-1, -2) @ g, vg.shape), g @ vg.swapaxes(-1, -2)
-            gs = (ga / total + np.broadcast_to(_unbroadcast(-ga * e / (total * total), total.shape), e.shape)) * e
-            gs = gs + np.broadcast_to(_unbroadcast(-gs, total.shape), e.shape) * hit / hit.sum(axis=-1, keepdims=True)
-            gs = (gs if mask is None else np.where(mask, gs, dtype(0))) * dtype(scale)
-            gk = _unbroadcast(qg.swapaxes(-1, -2) @ gs, kt.shape).transpose(0, 1, 2, 4, 3)
-            parts = [gv, gk, gs @ kt.swapaxes(-1, -2)]
-            if rope is not None:  # rotate_pairs' VJP, into the input dtype
-                parts[1:] = (_rotate_pairs(x.reshape(count, -1, t_len, hs), rope[0], -rope[1], dtype)
-                             for x in parts[1:])
-            # each back to rows through the head transpose's and reshape's VJPs
-            grads.update((j, x.reshape(count, -1, t_len, hs).transpose(0, 2, 1, 3).reshape(rows, -1))
-                         for j, x in enumerate(parts))
+            for (at, count, t_len), mask, rope, (qg, kt, vg, e, total, hit) in zip(block.buckets, masks, ropes, saved):
+                gb = g[at].reshape(count, t_len, nkv, -1, hs).transpose(0, 2, 3, 1, 4)
+                gv, ga = _unbroadcast((e / total).swapaxes(-1, -2) @ gb, vg.shape), gb @ vg.swapaxes(-1, -2)
+                gs = (ga / total + np.broadcast_to(_unbroadcast(-ga * e / (total * total), total.shape), e.shape)) * e
+                ties = hit.sum(axis=-1, keepdims=True)
+                gs = gs + np.broadcast_to(_unbroadcast(-gs, total.shape), e.shape) * hit / ties
+                gs = (gs if mask is None else np.where(mask, gs, dtype(0))) * dtype(scale)
+                gk = _unbroadcast(qg.swapaxes(-1, -2) @ gs, kt.shape).transpose(0, 1, 2, 4, 3)
+                parts = [gv, gk, gs @ kt.swapaxes(-1, -2)]
+                if rope is not None:  # rotate_pairs' VJP, into the input dtype
+                    parts[1:] = (_rotate_pairs(x.reshape(count, -1, t_len, hs), rope[0], -rope[1], dtype)
+                                 for x in parts[1:])
+                for j, x in enumerate(parts):  # back to rows through the head transpose's and reshape's VJPs
+                    x = x.reshape(count, -1, t_len, hs).transpose(0, 2, 1, 3).reshape(count * t_len, -1)
+                    if j not in grads:
+                        grads[j] = np.empty((rows, x.shape[-1]), dtype=x.dtype)
+                    grads[j][at] = x
+            saved.clear()
         return grads.pop(i)
 
     return _make("attention", out, [(v, lambda g: vjp(0, g)), (k, lambda g: vjp(1, g)), (q, lambda g: vjp(2, g))])

@@ -192,6 +192,18 @@ def test_toy_layer_tape_nodes():
     assert len(two) - len(one) <= 22
 
 
+def test_ragged_group_tape_has_one_attention_node_per_layer():
+    """A group of several lengths records what an equal-length one does: one
+    attention node per layer over every bucket, and no row gather or concat."""
+    cfg = toy_config(**GROUP_CONFIG)
+    seqs = [np.arange(n) % cfg.vocab_size for n in GROUP_LENGTHS["mixed"]]
+    with Graph() as g:
+        forward(init_params(cfg, named_rng(0, "nodes")), seqs)
+    ops = [n.op for n in g.nodes]
+    assert ops.count("attention") == cfg.n_layers == 2
+    assert "take_rows" not in ops and "concat" not in ops
+
+
 def tape_bytes(fn) -> int:
     """tracemalloc's current bytes after fn runs under a Graph, minus before;
     the graph and fn's result stay alive while they are counted."""
@@ -371,6 +383,21 @@ def test_gqa_rejects_future_mask():
         gqa_attention(x, weights, bad, cfg)
     with pytest.raises(T.ShapeError):
         gqa_attention(x, weights, np.tril(np.ones((4, 4), dtype=bool)), cfg)
+
+
+def test_gqa_needs_one_mask_and_table_per_bucket():
+    cfg = toy_config()
+    rng = np.random.default_rng(7)
+    block = T.RowBlock([3, 2, 3])
+    x = Tensor(rng.standard_normal((8, cfg.d_model)))
+    weights = {f"attn.w{n}": Tensor(rng.standard_normal(shape)) for n, shape in (
+        ("q", (cfg.d_model, cfg.n_heads * cfg.head_size)), ("k", (cfg.d_model, cfg.n_kv_heads * cfg.head_size)),
+        ("v", (cfg.d_model, cfg.n_kv_heads * cfg.head_size)), ("o", (cfg.n_heads * cfg.head_size, cfg.d_model)))}
+    masks = [np.tril(np.ones((n, n), dtype=bool)) for n in (2, 3)]
+    gqa_attention(x, weights, masks, cfg, [None, None], block)
+    for mask, tables in ((masks[1:], [None, None]), (masks, [None])):
+        with pytest.raises(T.ShapeError, match="2 buckets"):
+            gqa_attention(x, weights, mask, cfg, tables, block)
 
 
 def test_heads_divisibility_enforced():

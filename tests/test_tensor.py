@@ -385,10 +385,12 @@ def test_grad_embedding():
 
 
 def test_grad_row_block_primitives():
-    # three sequences of lengths 2, 3, 2: two buckets, stored out of order
+    # three sequences of lengths 2, 3, 2, in the given order: two buckets, the first not contiguous
     rng = np.random.default_rng(21)
     block = T.RowBlock([2, 3, 2])
-    assert block.buckets == ((0, 2, 2), (4, 1, 3)) and block.spans == ((0, 2), (4, 7), (2, 4))
+    assert block.spans == ((0, 2), (2, 5), (5, 7))
+    assert [(np.arange(7)[rows].tolist(), count, length) for rows, count, length in block.buckets] == [
+        ([0, 1, 5, 6], 2, 2), ([2, 3, 4], 1, 3)]
     ids = np.array([0, 2, 2, 5, 1, 0, 5])
     p = {
         "emb": Tensor(rand(rng, 6, 4), requires_grad=True),
@@ -399,21 +401,20 @@ def test_grad_row_block_primitives():
                                     q["w"], block) ** 2.0).sum(), p)
     x = rand(rng, 7, 4)
     w = rand(rng, 4, 3)
-    want = np.concatenate([x[a:b] @ w for a, b in ((0, 2), (2, 4), (4, 7))])
+    want = np.concatenate([x[a:b] @ w for a, b in block.spans])
     np.testing.assert_array_equal(T.block_matmul(Tensor(x), Tensor(w), block).numpy(), want)
 
 
-def test_take_rows_keeps_a_float64_gradient():
+def test_slice_casts_a_float64_gradient_to_the_input_dtype():
     # max_'s VJP divides by an int64 tie count and sends back float64; a
-    # slice casts that to x's float32 on the way back, take_rows does not
+    # slice casts that to x's float32 on the way back
     x = Tensor(np.arange(8, dtype=np.float32).reshape(4, 2), requires_grad=True)
     rows = np.array([2, 0, 1, 3])
-    for take, dtype in ((T.take_rows, np.float64), (T.slice_, np.float32)):
-        with T.Graph() as g:
-            y = T.sum_(T.max_(take(x, rows), axis=1))
-        g.backward(y)
-        assert g.grad(x).dtype == dtype
-        np.testing.assert_array_equal(g.grad(x), [[0, 1]] * 4)
+    with T.Graph() as g:
+        y = T.sum_(T.max_(T.slice_(x, rows), axis=1))
+    g.backward(y)
+    assert g.grad(x).dtype == np.float32
+    np.testing.assert_array_equal(g.grad(x), [[0, 1]] * 4)
 
 
 def test_grad_where():
@@ -591,9 +592,9 @@ def layer_cases(rng, dtype):
         "rms_norm": (lambda x, g: T.rms_norm(x, g, 1e-6), lambda x, g: rms_norm_reference(x, g, 1e-6),
                      [rng.standard_normal((4, 6)).astype(dtype), rng.standard_normal(6).astype(dtype)],
                      lambda y, x: x + y),
-        "attention": (lambda q, k, v: T.attention(q, k, v, 2, 4, mask, rope, 0.35, -1e9),
+        "attention": (lambda q, k, v: T.attention(q, k, v, T.RowBlock([5, 5]), 4, [mask], [rope], 0.35, -1e9),
                       lambda q, k, v: attention_reference(q, k, v, 2, 4, mask, rope, 0.35, -1e9), heads, None),
-        "attention_plain": (lambda q, k, v: T.attention(q, k, v, 2, 4, None, None, 0.35, -1e9),
+        "attention_plain": (lambda q, k, v: T.attention(q, k, v, T.RowBlock([5, 5]), 4, [None], [None], 0.35, -1e9),
                             lambda q, k, v: attention_reference(q, k, v, 2, 4, None, None, 0.35, -1e9), heads,
                             None),
         "swiglu": (T.swiglu, swiglu_reference, [rng.standard_normal((4, 6)).astype(dtype) for _ in "ab"], None),
@@ -610,6 +611,18 @@ def test_grad_layer_primitives(name):
     arrays = [a + rng.uniform(-0.1, 0.1, a.shape) for a in arrays]  # no ties for finite differences
     w = rand(rng, *op(*[Tensor(a) for a in arrays]).shape)
     check(lambda q: (op(*q.values()) * w).sum(), {str(i): Tensor(a, requires_grad=True) for i, a in enumerate(arrays)})
+
+
+def test_attention_needs_one_mask_and_rope_per_bucket():
+    # a short list would leave the missing buckets' output rows unwritten
+    rng = np.random.default_rng(25)
+    block = T.RowBlock([3, 5, 3])
+    q, k, v = (Tensor(rng.standard_normal((11, width))) for width in (16, 8, 8))
+    masks = [np.tril(np.ones((n, n), dtype=bool)) for n in (3, 5)]
+    T.attention(q, k, v, block, 4, masks, [None, None], 0.35, -1e9)
+    for short in ([masks[:1], [None, None]], [masks, [None]]):
+        with pytest.raises(ShapeError, match="2 buckets"):
+            T.attention(q, k, v, block, 4, *short, 0.35, -1e9)
 
 
 # a log_softmax head sends back float64 gradients for float32 inputs, since

@@ -6,8 +6,11 @@ prints the sha256 prefix of each of the 14 artifacts that ``test_09``
 compares between two runs, and compares each with ``EXPECTED`` below. A 15th
 line hashes the per-choice log-likelihoods that the eval stage scores under
 ``grpo.ckpt``: report.json keeps only the accuracy they round to, so it can
-keep its bytes while the model's numbers move. Exits 1 naming every entry
-that differs, 0 when all match.
+keep its bytes while the model's numbers move. A 16th line hashes a ragged
+GRPO run: 3 train-grpo steps from dpo.ckpt with the stop token's
+``lm_head`` column raised by 3.0, so that about half the rollouts stop
+early and some groups hold rollouts of several lengths (``test_09`` never
+stops one). Exits 1 naming every entry that differs, 0 when all match.
 
     PYTHONPATH=src python tools/artifact_hashes.py
 
@@ -19,6 +22,7 @@ updates ``EXPECTED`` and says why.
 from __future__ import annotations
 
 import hashlib
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -26,11 +30,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
 
-from forge.checkpoint import load_checkpoint  # noqa: E402
+from forge.checkpoint import load_checkpoint, save_checkpoint  # noqa: E402
+from forge.train import loops  # noqa: E402
+from forge.cli import run as cli_run  # noqa: E402
 from forge.evalharness import build_prompt, load_suite, loglikelihood_choice  # noqa: E402
-from test_acceptance import build_e2e_workspace, run_e2e  # noqa: E402
+from test_acceptance import TOK, build_e2e_workspace, csv_column, run_e2e  # noqa: E402
 
 CHOICE_SCORES = "choice scores"
+RAGGED_GRPO = "ragged grpo.ckpt+csv"
 
 EXPECTED = {
     "up.ckpt": "3cfce1fd7333c540",
@@ -48,6 +55,7 @@ EXPECTED = {
     "train_grpo_manifest.json": "bd806f2fb335060f",
     "eval_manifest.json": "470b2f37120d5aa6",
     CHOICE_SCORES: "76075786789dc1c9",
+    RAGGED_GRPO: "0be2ef23e27ec42d",
 }
 
 
@@ -63,6 +71,38 @@ def choice_scores_digest(ws: Path) -> str:
     return h.hexdigest()[:16]
 
 
+def ragged_grpo_digest(ws: Path) -> str:
+    """sha256 prefix of the checkpoint and CSV bytes of 3 train-grpo steps
+    from dpo.ckpt with the stop token's ``lm_head`` column raised by 3.0.
+    Exits unless some group's rollouts differ in length and some step's
+    ``grad_norm`` is nonzero: otherwise the entry checks no ragged gradient.
+    (A raise of 1.0 stops 30 % of the rollouts, but every group stops alike.)"""
+    ckpt = load_checkpoint(ws / "dpo.ckpt")
+    ckpt.params["lm_head"].data[:, TOK.special_id("<|end|>")] += 3.0
+    save_checkpoint(ckpt, ws / "ragged_dpo.ckpt")
+    cfg = json.loads((ws / "grpo.json").read_text(encoding="utf-8"))
+    cfg.update(checkpoint="ragged_dpo.ckpt", output="ragged.ckpt", log="ragged.csv", steps=3)
+    (ws / "ragged.json").write_text(json.dumps(cfg), encoding="utf-8")
+    scored, lengths = loops.token_logprobs, set()
+
+    def token_logprobs(ckpt, tokens, from_pos):  # notes each group's distinct lengths
+        lengths.add(len({len(t) for t in tokens}))
+        return scored(ckpt, tokens, from_pos)
+
+    loops.token_logprobs = token_logprobs
+    try:
+        code = cli_run("train-grpo", ws / "ragged.json", environ={})
+    finally:
+        loops.token_logprobs = scored
+    if code != 0:
+        raise SystemExit("ragged train-grpo failed")
+    if max(lengths) < 2:
+        raise SystemExit("ragged train-grpo: every group's rollouts have one length")
+    if not any(csv_column(ws / "ragged.csv", "grad_norm")):
+        raise SystemExit("ragged train-grpo: every grad_norm is 0, so no gradient is checked")
+    return hashlib.sha256((ws / "ragged.ckpt").read_bytes() + (ws / "ragged.csv").read_bytes()).hexdigest()[:16]
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         ws = Path(tmp) / "toy"
@@ -72,6 +112,8 @@ def main() -> int:
         for name, want in EXPECTED.items():
             if name == CHOICE_SCORES:
                 got = choice_scores_digest(ws)
+            elif name == RAGGED_GRPO:
+                got = ragged_grpo_digest(ws)
             else:
                 got = hashlib.sha256((ws / name).read_bytes()).hexdigest()[:16]
             print(f"{name:<26} {got}  {'ok' if got == want else f'DIFFERS (expected {want})'}")
