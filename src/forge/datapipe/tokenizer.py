@@ -5,11 +5,18 @@ reserved special-token slots sits on top (the production layout is 32,000
 base entries plus 128 specials for 32,128 total). Specials are inserted
 programmatically (chat templating); plain-text encoding never emits them,
 so any UTF-8 string round-trips exactly.
+
+``train_bpe`` keeps its pair counts up to date instead of recounting the
+corpus per merge: the corpus is one linked list of tokens, an index maps
+each adjacent pair to the positions where it starts, and a heap whose stale
+entries are skipped when popped gives the most frequent pair. A merge then
+costs time in its own occurrences, and the merges are the ones a full
+recount per merge gives. A merge table that repeats a pair is rejected.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import heapq
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -49,12 +56,15 @@ class TokenizerModel:
 
     def __post_init__(self):
         self._token_bytes: dict[int, bytes] = {i: bytes([i]) for i in range(N_BYTE_TOKENS)}
+        self._ranks: dict[tuple[int, int], int] = {}
         for rank, (left, right) in enumerate(self.merges):
             tid = N_BYTE_TOKENS + rank
             if left >= tid or right >= tid:
                 raise ValueError(f"merge {rank} references id not yet defined: ({left}, {right})")
+            if (left, right) in self._ranks:
+                raise ValueError(f"merge {rank} repeats merge {self._ranks[left, right]}: ({left}, {right})")
+            self._ranks[left, right] = rank
             self._token_bytes[tid] = self._token_bytes[left] + self._token_bytes[right]
-        self._ranks = {pair: r for r, pair in enumerate(self.merges)}
         if len(self.specials) > self.n_reserved:
             raise ValueError(
                 f"{len(self.specials)} specials exceed {self.n_reserved} reserved slots"
@@ -128,20 +138,76 @@ def allocate_chat_specials(merges: list[tuple[int, int]], n_reserved: int = DEFA
 
 
 def train_bpe(texts, n_merges: int) -> list[tuple[int, int]]:
-    """Most-frequent-pair BPE over the byte corpus; ties break on pair ids."""
-    seqs = [list(t.encode("utf-8")) for t in texts]
+    """Most-frequent-pair BPE over the byte corpus; ties break on pair ids.
+
+    Each merge replaces the best pair's occurrences left to right without
+    overlap, and training stops when no pair occurs twice. Pair counts are
+    updated where a merge applies instead of recounted over the corpus.
+    """
+    ids: list[int] = []  # every text's byte ids, one after another
+    nxt: list[int] = []  # live tokens form a linked list; -1 ends each text
+    prv: list[int] = []
+    counts: dict[tuple[int, int], int] = {}  # adjacent pair -> occurrences
+    where: dict[tuple[int, int], list[int]] = {}  # pair -> left positions, some stale
+    for text in texts:
+        data = text.encode("utf-8")
+        start = len(ids)
+        for at, pair in enumerate(zip(data, data[1:]), start):
+            counts[pair] = counts.get(pair, 0) + 1
+            where.setdefault(pair, []).append(at)
+        ids.extend(data)
+        nxt.extend(range(start + 1, len(ids) + 1))
+        prv.extend(range(start - 1, len(ids) - 1))
+        if data:
+            nxt[-1] = prv[start] = -1
+    # Only a merge's own new id gains occurrences, so a pair seen fewer than
+    # twice never becomes a merge: it leaves the heap and the index.
+    heap = [(-n, pair) for pair, n in counts.items() if n > 1]
+    heapq.heapify(heap)
+    where = {pair: where[pair] for _, pair in heap}
     merges: list[tuple[int, int]] = []
-    for rank in range(n_merges):
-        counts: Counter = Counter()
-        for seq in seqs:
-            counts.update(zip(seq, seq[1:]))
-        if not counts:
-            break
-        best = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
-        if counts[best] < 2:
-            break
+    touched: set[tuple[int, int]] = set()  # pairs whose count the current merge changed
+
+    def add(pair, by, at=-1):
+        counts[pair] = counts.get(pair, 0) + by
+        touched.add(pair)
+        if at >= 0:
+            where.setdefault(pair, []).append(at)
+
+    while heap and len(merges) < n_merges:
+        n, best = heapq.heappop(heap)
+        if counts.get(best) != -n:
+            continue  # stale: the pair's count has changed since this push
+        new = N_BYTE_TOKENS + len(merges)
         merges.append(best)
-        seqs = [_merge_pair(seq, best, N_BYTE_TOKENS + rank) for seq in seqs]
+        left, right = best
+        touched.add(best)
+        # A pair's positions were all appended in one pass (the first scan,
+        # or the merge that made its newer id) in ascending order, so they
+        # are visited left to right; ones consumed since fail the test.
+        for at in where.pop(best):
+            right_at = nxt[at]
+            if ids[at] != left or right_at < 0 or ids[right_at] != right:
+                continue
+            before, after = prv[at], nxt[right_at]
+            if before >= 0:
+                add((ids[before], left), -1)
+                add((ids[before], new), 1, before)
+            if after >= 0:
+                add((right, ids[after]), -1)
+                add((new, ids[after]), 1, at)
+                prv[after] = at
+            counts[best] -= 1
+            ids[at], ids[right_at], nxt[at] = new, -1, after
+        for pair in touched:
+            n = counts[pair]
+            if n > 1:
+                heapq.heappush(heap, (-n, pair))
+            else:
+                where.pop(pair, None)
+                if not n:
+                    del counts[pair]
+        touched.clear()
     return merges
 
 

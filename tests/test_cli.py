@@ -19,6 +19,7 @@ from forge.cli import REQUIRED, SCHEMAS, ConfigError, run, validate_config
 from forge.datapipe.tokenizer import allocate_chat_specials, save_tokenizer
 from forge.model import ModelConfig, init_params
 from forge.rng import named_rng
+from test_tokenizer import write_repeated_merge_tokenizer
 
 FIX = Path(__file__).parent / "fixtures"
 
@@ -318,6 +319,19 @@ def test_exit_3_on_non_utf8_text(workdir, capsys, command, cfg):
     assert run(command, p, environ={}) == 3
     err = capsys.readouterr().err
     assert err.startswith("forge: data-error:") and "bad.txt" in err and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("tokstats", {"tokenizer": "rep.txt", "texts": ["ok.txt"]}),
+    ("pack", {"tokenizer": "rep.txt", "dataset": "sft.jsonl", "max_len": 64}),
+])
+def test_exit_3_on_tokenizer_with_a_repeated_merge(workdir, capsys, command, cfg):
+    (workdir / "ok.txt").write_text("ala ma kota\n", encoding="utf-8")
+    write_repeated_merge_tokenizer(workdir / "rep.txt")
+    assert run(command, write_json(workdir / "c.json", cfg), environ={}) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("forge: data-error:") and "merge 1 repeats merge 0: (97, 98)" in err, err
+    assert "rep.txt" in err and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("out_dir,report", [

@@ -1,8 +1,10 @@
-"""BPE tokenizer: round trips, merge-order oracle, stats, and filters."""
+"""BPE tokenizer: round trips, merge-order oracles, stats, and filters."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tokdata import REFERENCE_ROWS
 
@@ -10,6 +12,7 @@ from forge.datapipe.tokenizer import (
     CHAT_SPECIALS,
     N_BYTE_TOKENS,
     TokenizerModel,
+    _merge_pair,
     allocate_chat_specials,
     dedup_exact,
     filter_long_docs,
@@ -52,6 +55,42 @@ def sequential_merge_oracle(byte_ids, merges):
             return ids
         r, i = best
         ids[i : i + 2] = [N_BYTE_TOKENS + r]
+
+
+def reference_train_bpe(texts, n_merges: int) -> list[tuple[int, int]]:
+    """Most-frequent-pair BPE over the byte corpus; ties break on pair ids."""
+    seqs = [list(t.encode("utf-8")) for t in texts]
+    merges: list[tuple[int, int]] = []
+    for rank in range(n_merges):
+        counts: Counter = Counter()
+        for seq in seqs:
+            counts.update(zip(seq, seq[1:]))
+        if not counts:
+            break
+        best = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+        if counts[best] < 2:
+            break
+        merges.append(best)
+        seqs = [_merge_pair(seq, best, N_BYTE_TOKENS + rank) for seq in seqs]
+    return merges
+
+
+SYLLABLES = [c + v for c in "bcdfghjklmnprstwz" for v in "aeiouy"] + ["sz", "cz", "ą", "ę", "ó", "ł", "ż"]
+
+
+def syllable_prose(seed: int, n_texts: int = 8, n_chars: int = 440) -> list[str]:
+    """n_texts texts of n_chars characters each: capitalised sentences of
+    words of 1-3 syllables, some of them Polish letters, from one seed."""
+    rng = np.random.default_rng(seed)
+    texts = []
+    for _ in range(n_texts):
+        text = ""
+        while len(text) < n_chars:
+            words = ["".join(SYLLABLES[i] for i in rng.integers(0, len(SYLLABLES), size=int(rng.integers(1, 4))))
+                     for _ in range(int(rng.integers(6, 15)))]
+            text += " ".join(words).capitalize() + ". "
+        texts.append(text[:n_chars])
+    return texts
 
 
 def test_encode_matches_sequential_oracle():
@@ -154,6 +193,56 @@ def test_train_bpe_learns_frequent_pairs():
 def test_train_bpe_deterministic():
     corpus = ["the cat sat on the mat", "the bat and the rat"]
     assert train_bpe(corpus, 12) == train_bpe(corpus, 12)
+
+
+# Repeated letters make overlapping runs ("aaaa"), "ą" and "ę" are two UTF-8
+# bytes each, and a two-letter alphabet makes pairs of equal count common.
+corpora = st.lists(st.sampled_from(["ab", "aab ", "aaab", "ąę a", "abcd"]).flatmap(
+    lambda alphabet: st.text(alphabet=alphabet, max_size=40)), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpora, st.integers(0, 30))
+@example([], 5)
+@example(["", "aaaa", ""], 30)
+def test_train_bpe_matches_reference(texts, n_merges):
+    merges = train_bpe(texts, n_merges)
+    assert merges == reference_train_bpe(texts, n_merges)
+    assert len(set(merges)) == len(merges)
+
+
+def test_train_bpe_matches_reference_at_benchmark_size():
+    texts = syllable_prose(7)
+    assert 3400 <= sum(map(len, texts)) <= 3600
+    merges = train_bpe(texts, 300)
+    assert merges == reference_train_bpe(texts, 300)
+    assert len(merges) == 300 and len(set(merges)) == 300
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpora, st.integers(0, 30), st.text(alphabet="abąę c", max_size=30))
+def test_encode_matches_oracle_under_trained_merges(texts, n_merges, text):
+    tok = TokenizerModel(merges=train_bpe(texts, n_merges), specials={}, n_reserved=0)
+    assert tok.encode(text) == sequential_merge_oracle(text.encode(), tok.merges)
+    for t in texts:
+        assert tok.encode(t) == sequential_merge_oracle(t.encode(), tok.merges)
+
+
+def write_repeated_merge_tokenizer(path):
+    """A tokenizer file whose merge 1 repeats merge 0, (97, 98), and that
+    agrees with itself otherwise: its vocab spells id 257 as "ab"."""
+    save_tokenizer(allocate_chat_specials([(A, B), (N_BYTE_TOKENS, B)], n_reserved=8), path)
+    text = path.read_text()
+    assert "\n256 98\n" in text and "\n257 616262\n" in text
+    path.write_text(text.replace("\n256 98\n", "\n97 98\n").replace("\n257 616262\n", "\n257 6162\n"))
+
+
+def test_merge_table_with_a_repeated_pair_rejected(tmp_path):
+    with pytest.raises(ValueError, match=r"merge 1 repeats merge 0: \(97, 98\)"):
+        TokenizerModel(merges=[(A, B), (A, B)])
+    write_repeated_merge_tokenizer(tmp_path / "tok.txt")
+    with pytest.raises(ValueError, match=r"tok\.txt: malformed tokenizer file: merge 1 repeats merge 0"):
+        load_tokenizer(tmp_path / "tok.txt")
 
 
 # -- token_stats -------------------------------------------------------------------

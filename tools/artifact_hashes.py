@@ -10,7 +10,10 @@ keep its bytes while the model's numbers move. A 16th line hashes a ragged
 GRPO run: 3 train-grpo steps from dpo.ckpt with the stop token's
 ``lm_head`` column raised by 3.0, so that about half the rollouts stop
 early and some groups hold rollouts of several lengths (``test_09`` never
-stops one). Exits 1 naming every entry that differs, 0 when all match.
+stops one). A 17th line hashes the ``save_tokenizer`` bytes of a
+300-merge tokenizer that ``train_bpe`` learns from seeded syllable prose
+(the pipeline's own tokenizer has no merges). Exits 1 naming every entry
+that differs, 0 when all match.
 
     PYTHONPATH=src python tools/artifact_hashes.py
 
@@ -34,10 +37,13 @@ from forge.checkpoint import load_checkpoint, save_checkpoint  # noqa: E402
 from forge.train import loops  # noqa: E402
 from forge.cli import run as cli_run  # noqa: E402
 from forge.evalharness import build_prompt, load_suite, loglikelihood_choice  # noqa: E402
+from forge.datapipe.tokenizer import allocate_chat_specials, save_tokenizer, train_bpe  # noqa: E402
 from test_acceptance import TOK, build_e2e_workspace, csv_column, run_e2e  # noqa: E402
+from test_tokenizer import syllable_prose  # noqa: E402
 
 CHOICE_SCORES = "choice scores"
 RAGGED_GRPO = "ragged grpo.ckpt+csv"
+TRAINED_TOK = "trained tokenizer"
 
 EXPECTED = {
     "up.ckpt": "3cfce1fd7333c540",
@@ -56,6 +62,7 @@ EXPECTED = {
     "eval_manifest.json": "470b2f37120d5aa6",
     CHOICE_SCORES: "76075786789dc1c9",
     RAGGED_GRPO: "0be2ef23e27ec42d",
+    TRAINED_TOK: "a2784330f78743f5",
 }
 
 
@@ -103,6 +110,14 @@ def ragged_grpo_digest(ws: Path) -> str:
     return hashlib.sha256((ws / "ragged.ckpt").read_bytes() + (ws / "ragged.csv").read_bytes()).hexdigest()[:16]
 
 
+def trained_tokenizer_digest(ws: Path) -> str:
+    """sha256 prefix of the saved tokenizer that 300 merges of ``train_bpe``
+    give on seeded syllable prose (8 texts of 500 characters, seed 1)."""
+    tok = allocate_chat_specials(train_bpe(syllable_prose(1, n_chars=500), 300), n_reserved=8)
+    save_tokenizer(tok, ws / "trained_tok.txt")
+    return hashlib.sha256((ws / "trained_tok.txt").read_bytes()).hexdigest()[:16]
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         ws = Path(tmp) / "toy"
@@ -114,6 +129,8 @@ def main() -> int:
                 got = choice_scores_digest(ws)
             elif name == RAGGED_GRPO:
                 got = ragged_grpo_digest(ws)
+            elif name == TRAINED_TOK:
+                got = trained_tokenizer_digest(ws)
             else:
                 got = hashlib.sha256((ws / name).read_bytes()).hexdigest()[:16]
             print(f"{name:<26} {got}  {'ok' if got == want else f'DIFFERS (expected {want})'}")
