@@ -38,7 +38,7 @@ import numpy as np
 from . import __version__
 from .datapipe.chat import build_loss_mask, load_chat_dataset, render_chat
 from .datapipe.packing import pack_samples
-from .datapipe.scrub import scrub
+from .datapipe.scrub import format_report, scrub
 from .datapipe.tokenizer import load_tokenizer, token_stats
 from .evalharness import load_suite, run_suite
 from .model import Checkpoint
@@ -548,14 +548,11 @@ def cmd_scrub(ctx: RunContext) -> None:
             raise ConfigError(
                 f"inputs[{i}]: {inputs[i]!r} has the file name of inputs[{first}] {inputs[first]!r}"
             )
-    lines = ["file\tcategory\tcount"]
+    reports = {}
     for rel, name in zip(inputs, names):
-        text = _read_text(ctx.inp(rel))
-        redacted, report = scrub(text)
+        redacted, reports[name] = scrub(_read_text(ctx.inp(rel)))
         ctx.out(Path(ctx.cfg["out_dir"]) / name).write_text(redacted, encoding="utf-8")
-        for cat in sorted(report.counts):
-            lines.append(f"{name}\t{cat}\t{report.counts[cat]}")
-    body = "\n".join(lines) + "\n"
+    body = format_report(reports)
     ctx.out(ctx.cfg["report"]).write_text(body, encoding="utf-8")
     print(body, end="")
 

@@ -92,21 +92,11 @@ def scrub(text: str) -> tuple[str, ScrubReport]:
     return "".join(out), report
 
 
-def scrub_corpus(docs: list[str]) -> tuple[list[str], list[ScrubReport]]:
-    """Scrub each document independently, preserving order."""
-    outs, reports = [], []
-    for doc in docs:
-        redacted, report = scrub(doc)
-        outs.append(redacted)
-        reports.append(report)
-    return outs, reports
-
-
 def format_report(per_file: dict[str, ScrubReport]) -> str:
-    """Sidecar report: one line per file per category, tab-separated."""
+    """Sidecar report: one line per file per category, tab-separated, the
+    files in the given order and each file's categories sorted."""
     lines = ["file\tcategory\tcount"]
-    for fname in sorted(per_file):
-        counts = per_file[fname].counts
-        for cat in sorted(counts):
-            lines.append(f"{fname}\t{cat}\t{counts[cat]}")
+    for fname, report in per_file.items():
+        for cat in sorted(report.counts):
+            lines.append(f"{fname}\t{cat}\t{report.counts[cat]}")
     return "\n".join(lines) + "\n"

@@ -87,7 +87,7 @@ class TokenizerModel:
 
     def special_id(self, name: str) -> int:
         if name not in self.specials:
-            raise KeyError(f"unknown special token {name!r}")
+            raise ValueError(f"tokenizer has no special token {name!r}")
         return self.specials[name]
 
     def token_to_bytes(self, tid: int) -> bytes:

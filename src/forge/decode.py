@@ -14,11 +14,12 @@ or ``step`` to a batch of one. ``extend`` and ``step`` logits agree with the
 matching rows of ``forward`` to float rounding only: a matmul over fewer rows
 may take a different BLAS kernel than the full-sequence one.
 
-``decode`` is the one decoding loop. It advances a round of continuations
-that share one prefill in lockstep, choosing every live row's next token in
-one batched call; GRPO temperature sampling (a group's rollouts, each from
-its own row of one block of uniform draws) and greedy evaluation (a round of
-one) differ only in that chooser.
+``bucket_logits`` is the one batched scorer: eval's choices and the frozen
+reference passes of DPO and GRPO. ``decode`` is the one decoding loop. It
+advances a round of continuations that share one prefill in lockstep,
+choosing every live row's next token in one batched call; GRPO temperature
+sampling (a group's rollouts, each from its own row of one block of uniform
+draws) and greedy evaluation (a round of one) differ only in that chooser.
 """
 
 from __future__ import annotations
@@ -114,6 +115,17 @@ def prefill(ckpt: Checkpoint, tokens) -> tuple[np.ndarray, KVCache]:
         raise ValueError("prefill: the prompt is empty")
     cache = KVCache(keys=[], values=[])
     return extend(ckpt, tokens[None], cache)[0], cache
+
+
+def bucket_logits(ckpt: Checkpoint, seqs, cache: KVCache | None = None):
+    """Per bucket of equal-length ``seqs`` (empty ones skipped), shortest first,
+    one ``extend`` on copies of row 0 of ``cache`` (empty when None), yielding
+    the bucket's indices in ``seqs`` and its logits (count, length, vocab). From
+    an empty cache a whole sequence's rows are ``forward``'s bit for bit."""
+    cache = KVCache(keys=[], values=[]) if cache is None else cache
+    for n in sorted({len(s) for s in seqs} - {0}):
+        bucket = [k for k, s in enumerate(seqs) if len(s) == n]
+        yield bucket, extend(ckpt, np.stack([seqs[k] for k in bucket]), cache.take([0] * len(bucket)))
 
 
 def step(ckpt: Checkpoint, tokens, cache: KVCache) -> np.ndarray:

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import tensor as T
 from .datapipe.records import read_records
-from .decode import KVCache, decode, extend, prefill
+from .decode import KVCache, bucket_logits, decode, extend, prefill
 from .model import Checkpoint, check_token_ids, forward
 
 MODES = ("loglikelihood", "generate")
@@ -138,11 +138,11 @@ def loglikelihood_choice(ckpt: Checkpoint, context, choices, prefix=None):
 
     ``prefix`` is ``(tokens, cache)`` for tokens that start ``context`` and
     their ``decode.prefill`` cache, e.g. a task's exemplar block; a copy of
-    it is extended by the rest of the context. The choices are then run as
-    one ``extend`` per length, on copies of the context's cache, and every
-    choice token's log-prob goes through ``target_logprobs`` as in
-    ``sequence_logprobs``. Scores agree with a ``forward`` per choice to
-    float rounding, not bitwise: a cached run multiplies fewer rows at a time."""
+    it is extended by the rest of the context. ``decode.bucket_logits`` runs
+    the choices behind the context's cache, and each bucket's choice tokens
+    go through ``target_logprobs`` as in ``sequence_logprobs``. Scores agree
+    with a ``forward`` per choice to float rounding, not bitwise: a cached
+    run multiplies fewer rows at a time."""
     if len(choices) < 2:
         raise ValueError("need at least two choices")
     if not len(context):
@@ -164,11 +164,9 @@ def loglikelihood_choice(ckpt: Checkpoint, context, choices, prefix=None):
     last = extend(ckpt, context[None, keep:], cache)[0, -1:]
     firsts = _row_logprobs(np.repeat(last, len(choices), axis=0), [c[0] for c in choices])
     scores = firsts.astype(np.float64)  # a 1-token choice needs no run
-    for n in sorted({len(c) for c in choices} - {1}):
-        bucket = [k for k, c in enumerate(choices) if len(c) == n]
-        feed = np.stack([choices[k] for k in bucket])
-        logits = extend(ckpt, feed[:, :-1], cache.take([0] * len(bucket)))
-        rest = _row_logprobs(logits.reshape(-1, vocab), feed[:, 1:].reshape(-1)).reshape(len(bucket), n - 1)
+    for bucket, logits in bucket_logits(ckpt, [c[:-1] for c in choices], cache):
+        targets = np.stack([choices[k][1:] for k in bucket]).reshape(-1)
+        rest = _row_logprobs(logits.reshape(-1, vocab), targets).reshape(len(bucket), -1)
         for k, row in zip(bucket, rest):
             scores[k] = np.concatenate([firsts[k : k + 1], row]).sum()
     return int(np.argmax(scores)), scores

@@ -3,16 +3,16 @@ interpolation, grouped-query attention (one ``tensor.attention`` node per
 layer over every bucket, whose forward is ``decode``'s kernel ``_attend``),
 pre-norm residuals.
 
-All functions are pure over a parameter dict so the same code path serves
-training (under a tape) and evaluation (tape-free). ``forward`` maps T token
+All functions are pure over a parameter dict. ``forward`` maps T token
 ids to a T x vocab logit matrix, or a group of sequences (a GRPO group's
 rollouts, a DPO pair) to their rows of logits in one pass: the layers work
 on a flat block of rows in the given order (``tensor.RowBlock``) whose
 equal-length sequences are stacked on a batch axis for the matmuls and
-attention, and the result is bit-identical to a pass per sequence. Sampling
-and greedy generation do not call ``forward`` per token: ``forge.decode``
-runs the layer in numpy with a key/value cache, on the kernels of the same
-``tensor`` primitives.
+attention, and the result is bit-identical to a pass per sequence. It runs
+under a tape except in ``evalharness.sequence_logprobs``, the tests' reference;
+the tape-free passes (sampling, greedy generation, choice and reference
+scoring) run on ``forge.decode``, the layer in numpy with a key/value cache
+on the kernels of the same ``tensor`` primitives.
 """
 
 from __future__ import annotations

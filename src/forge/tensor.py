@@ -800,7 +800,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, block: RowBlock, head_size: int, 
     if not len(masks) == len(ropes) == len(block.buckets):
         raise ShapeError(f"attention: {len(masks)} masks and {len(ropes)} ropes for {len(block.buckets)} buckets")
     rows, hs, dtype = q.shape[0], head_size, q.data.dtype.type
-    nkv, taped, saved = k.shape[1] // hs, _current_graph() is not None, []
+    nkv, saved = k.shape[1] // hs, []
     out = np.empty((rows, q.shape[1]), dtype=q.data.dtype)  # _attend's rows keep q's dtype
     for (at, count, t_len), mask, rope in zip(block.buckets, masks, ropes):
         qh, kh, vh = (t.data[at].reshape(count, t_len, -1, hs).transpose(0, 2, 1, 3) for t in (q, k, v))
@@ -808,10 +808,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, block: RowBlock, head_size: int, 
             qh, kh = _rotate_pairs(qh, *rope), _rotate_pairs(kh, *rope)
         part, qg, kt, vg, (_, s, m, e, total) = _attend(qh, kh, vh, mask, scale, fill)
         out[at] = part.reshape(count * t_len, -1)
-        if taped:  # without a tape, the VJP's arrays and tie mask are never read
-            saved.append((qg, kt, vg, e, total, s == m))
-    if not taped:
-        return Tensor(out)
+        saved.append((qg, kt, vg, e, total, s == m))
     grads: dict = {}
 
     def vjp(i, g):  # part i of (v, k, q), the composite's backward order; the first call computes all

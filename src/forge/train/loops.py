@@ -21,7 +21,7 @@ from .. import tensor as T
 from ..datapipe.chat import ChatSample, build_loss_mask, messages_from, render_chat
 from ..datapipe.packing import PackedBatch
 from ..datapipe.records import read_records
-from ..decode import decode, prefill
+from ..decode import bucket_logits, decode, prefill
 from ..model import Checkpoint, forward, is_group
 from ..rng import named_rng
 from ..tensor import Graph, Tensor
@@ -217,11 +217,17 @@ def encode_preference_pairs(pairs, tok) -> list[dict]:
 
 def _group_target_logprobs(ckpt: Checkpoint, seqs, first: int, masks=None) -> tuple[Tensor, list[int]]:
     """``T.target_logprobs`` of tokens first.. of every sequence, in one pass
-    over the group, with the number of rows each sequence holds in it."""
-    starts = np.cumsum([0] + [len(s) for s in seqs[:-1]])
-    rows = np.concatenate([np.arange(a + first - 1, a + len(s) - 1) for a, s in zip(starts, seqs)])
+    over the group (``forward`` under a tape, else ``decode.bucket_logits`` on
+    the whole sequences: the same bits), and each sequence's row count."""
+    if T._current_graph() is not None:
+        starts = np.cumsum([0] + [len(s) for s in seqs[:-1]])
+        rows = np.concatenate([np.arange(a + first - 1, a + len(s) - 1) for a, s in zip(starts, seqs)])
+        logits = forward(ckpt, seqs)[rows]
+    else:
+        parts = {k: out[j, first - 1 : -1] for bucket, out in bucket_logits(ckpt, seqs) for j, k in enumerate(bucket)}
+        logits = np.concatenate([parts[k] for k in range(len(seqs))])
     mask = None if masks is None else np.concatenate([m[first:] for m in masks])
-    picked = T.target_logprobs(forward(ckpt, seqs)[rows], np.concatenate([s[first:] for s in seqs]), mask)
+    picked = T.target_logprobs(logits, np.concatenate([s[first:] for s in seqs]), mask)
     return picked, [len(s) - first for s in seqs]
 
 
@@ -372,8 +378,8 @@ def token_logprobs(ckpt: Checkpoint, tokens, from_pos: int):
     """Per-token log-probs of tokens[from_pos:] given their prefixes; (n,).
     For a group (a list of sequences sharing from_pos, see
     ``model.is_group``), one such Tensor per sequence, from one pass over
-    the group. Differentiable under a recording tape; a tape-free call
-    computes the same bits."""
+    the group. Differentiable under a recording tape; a tape-free call runs
+    on ``decode``'s kernel over the whole sequences, with the same bits."""
     group = is_group(tokens)
     seqs = [np.asarray(t, dtype=np.int64) for t in (tokens if group else [tokens])]
     for seq in seqs:
@@ -413,8 +419,8 @@ def train_grpo(
     The behavior policy is the policy at sampling time (one optimizer step
     per generation round), so ratios start at 1 each step. Its log-probs
     are the values of the taped policy pass itself: no update runs between
-    sampling and that pass, and a taped forward computes the same bits as
-    a tape-free one.
+    sampling and that pass, and the taped ``forward`` computes the same bits
+    as a tape-free pass over the whole rollouts on ``decode``'s kernel.
 
     A group's rollouts share one prefill of the prompt and one named stream
     (``grpo/step{s}/slot{k}``). ``sample_response`` reads a block of uniform

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from forge.checkpoint import load_checkpoint, save_checkpoint
 from forge.cli import REQUIRED, SCHEMAS, ConfigError, run, validate_config
-from forge.datapipe.tokenizer import allocate_chat_specials, save_tokenizer
+from forge.datapipe.tokenizer import TokenizerModel, allocate_chat_specials, save_tokenizer
 from forge.model import ModelConfig, init_params
 from forge.rng import named_rng
 from test_tokenizer import write_repeated_merge_tokenizer
@@ -332,6 +332,41 @@ def test_exit_3_on_tokenizer_with_a_repeated_merge(workdir, capsys, command, cfg
     err = capsys.readouterr().err
     assert err.startswith("forge: data-error:") and "merge 1 repeats merge 0: (97, 98)" in err, err
     assert "rep.txt" in err and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("pack", {"tokenizer": "tok.json", "dataset": "sft.jsonl", "max_len": 64}),
+    ("train-sft", sft_config(steps=1)),
+    ("train-dpo", DPO_BASE),
+    ("train-grpo", {**GRPO_BASE, "group_size": 2, "max_tokens": 4}),
+])
+def test_exit_3_on_tokenizer_without_the_chat_specials(workdir, capsys, command, cfg):
+    # the checkpoint's vocabulary size, with every reserved slot unnamed
+    save_tokenizer(TokenizerModel(merges=[], specials={}, n_reserved=8), workdir / "tok.json")
+    assert run(command, write_json(workdir / "c.json", cfg), environ={}) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("forge: data-error:") and "no special token '<|end|>'" in err, err
+    assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("train-dpo", DPO_BASE),
+    ("train-grpo", {**GRPO_BASE, "group_size": 2, "max_tokens": 4}),
+])
+def test_every_model_forward_of_a_training_stage_is_taped(workdir, monkeypatch, command, cfg):
+    # the frozen reference is scored on decode's kernel, not through forward
+    from forge import tensor as T
+    from forge.train import loops
+
+    taped, original = [], loops.forward
+
+    def recording(*args, **kwargs):
+        taped.append(T._current_graph() is not None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(loops, "forward", recording)
+    assert run(command, write_json(workdir / "c.json", cfg), environ={}) == 0
+    assert taped and all(taped), taped
 
 
 @pytest.mark.parametrize("out_dir,report", [

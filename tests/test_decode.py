@@ -1,18 +1,20 @@
 """Cached decoding against the full-recompute reference: prefill logits are
 bit-identical to ``forward``, cached extends and steps match it at a stated
 tolerance, a batched extend's or step's rows are bit-identical to
-single-sequence ones, and
-sampling (rollouts of a group in lockstep rounds) and greedy generation draw
-the same tokens as a loop that re-runs ``forward`` over the whole prefix for
-every token."""
+single-sequence ones, tape-free log-prob scoring (on ``decode``'s kernel) is
+bit-identical to the taped pass through ``forward``, and sampling (rollouts
+of a group in lockstep rounds) and greedy generation draw the same tokens as
+a loop that re-runs ``forward`` over the whole prefix for every token."""
 
 import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from forge import decode
+from forge import tensor as T
 from forge.datapipe.tokenizer import allocate_chat_specials
 from forge.evalharness import generate_greedy
 from forge.model import ModelConfig, forward, init_params
@@ -127,6 +129,43 @@ def test_extend_rejects_bad_tokens():
         with pytest.raises(ValueError):
             decode.extend(ckpt, bad, cache.take([0]))
     assert cache.length == 2
+
+
+SCORING_CKPTS = {}
+
+
+@settings(max_examples=25, deadline=None)
+@given(shape=st.sampled_from(["toy", "desk"]), dtype=st.sampled_from([np.float32, np.float64]),
+       size=st.integers(1, 4), equal=st.booleans(), as_group=st.booleans(), data=st.data())
+def test_tape_free_scoring_is_bit_identical_to_the_taped_pass(shape, dtype, size, equal, as_group, data):
+    # The frozen reference is scored without a tape and the policy under one:
+    # their log-probs must agree bit for bit. The group shares a prompt; at
+    # the desk shape it is 64 tokens and each sequence adds up to 48, where a
+    # run over one row fewer per sequence changes logit bits.
+    if (shape, dtype) not in SCORING_CKPTS:
+        SCORING_CKPTS[shape, dtype] = make_ckpt(shape, dtype)
+    ckpt = SCORING_CKPTS[shape, dtype]
+    plen, most = (64, 48) if shape == "desk" else (data.draw(st.integers(1, 12)), 12)
+    if equal:
+        news = [data.draw(st.integers(1, most))] * size
+    else:
+        news = data.draw(st.lists(st.integers(1, most), min_size=size, max_size=size))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    prompt = rng.integers(0, ckpt.config.vocab_size, plen)
+    seqs = [np.concatenate([prompt, rng.integers(0, ckpt.config.vocab_size, n)]) for n in news]
+    masks = [np.concatenate([[False], rng.random(len(s) - 1) < 0.6]) for s in seqs]
+    grouped = size > 1 or as_group
+    for fn, args in ((loops.token_logprobs, (seqs, plen)), (loops.response_logprob, (seqs, masks))):
+        if not grouped:
+            args = tuple(a[0] if isinstance(a, list) else a for a in args)
+        with T.Graph():
+            taped = fn(ckpt, *args)
+            taped = [t.data for t in (taped if grouped else [taped])]
+        free = fn(ckpt, *args)
+        free = [t.data for t in (free if grouped else [free])]
+        assert len(free) == len(taped) == (len(seqs) if grouped else 1)
+        for got, want in zip(free, taped):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def reference_sample(ckpt, prompt_ids, rng, max_tokens, temperature, stop_id, suppress=()):

@@ -8,7 +8,6 @@ from forge.datapipe.scrub import (
     format_report,
     pesel_checksum_ok,
     scrub,
-    scrub_corpus,
 )
 
 
@@ -143,10 +142,14 @@ def test_scrub_idempotent_fuzz(text):
 
 
 def test_scrub_corpus_order_and_report():
-    outs, reports = scrub_corpus(["a@b.pl", "czysto", "44051401359"])
-    assert outs == ["[EMAIL]", "czysto", "[PESEL]"]
+    reports = [scrub(doc)[1] for doc in ["a@b.pl", "czysto", "44051401359"]]
     assert reports[0].counts == {"EMAIL": 1}
     assert reports[1].counts == {}
     text = format_report({"f1.txt": reports[0], "f2.txt": reports[2]})
     assert "f1.txt\tEMAIL\t1" in text
     assert "f2.txt\tPESEL\t1" in text
+    # files keep the given order, not sorted; each file's categories are sorted
+    both = scrub("44051401359 a@b.pl")[1]
+    assert format_report({"z.txt": both, "a.txt": reports[1], "m.txt": reports[0]}) == (
+        "file\tcategory\tcount\nz.txt\tEMAIL\t1\nz.txt\tPESEL\t1\nm.txt\tEMAIL\t1\n"
+    )
