@@ -575,7 +575,7 @@ def cmd_pack(ctx: RunContext) -> None:
 def cmd_verify(ctx: RunContext) -> None:
     try:
         report = score_corpus(ctx.inp(ctx.cfg["fixtures"]))
-    except (ValueError, KeyError, json.JSONDecodeError) as e:
+    except ValueError as e:
         raise DataError(f"fixtures: {e}") from None
     ctx.out(ctx.cfg["report"]).write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"

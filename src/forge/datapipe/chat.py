@@ -121,11 +121,19 @@ def build_loss_mask(rendered: RenderedChat) -> np.ndarray:
 
 
 def messages_from(raw) -> list[Message]:
-    """Messages from a JSON list of {role, content?, tool_calls?} objects."""
-    return [
-        Message(role=m["role"], content=m.get("content", ""), tool_calls=m.get("tool_calls"))
-        for m in raw
-    ]
+    """Messages from a JSON list of {role, content?, tool_calls?} objects; a
+    missing content reads as "". ValueError on a content that is not a string
+    or tool_calls that are neither null nor a list of objects."""
+    out = []
+    for m in raw:
+        msg = Message(role=m["role"], content=m.get("content", ""), tool_calls=m.get("tool_calls"))
+        if not isinstance(msg.content, str):
+            raise ValueError(f"message content must be a string, got {msg.content!r}")
+        calls = msg.tool_calls
+        if calls is not None and not (isinstance(calls, list) and all(isinstance(c, dict) for c in calls)):
+            raise ValueError(f"tool_calls must be null or a list of objects, got {calls!r}")
+        out.append(msg)
+    return out
 
 
 def _chat_sample(rec) -> ChatSample:

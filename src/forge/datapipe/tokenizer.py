@@ -1,4 +1,4 @@
-"""Byte-level BPE tokenizer, corpus statistics, and token-count filters.
+"""Byte-level BPE tokenizer and corpus statistics.
 
 Token ids 0..255 are raw bytes, each merge adds one id, and a block of
 reserved special-token slots sits on top (the production layout is 32,000
@@ -286,21 +286,3 @@ def token_stats(tok: TokenizerModel, text: str) -> TokenStats:
         cpt=n_chars / n_tokens if n_tokens else None,
         tpw=n_tokens / n_words if n_words else None,
     )
-
-
-def filter_long_docs(docs, tok: TokenizerModel, min_tokens: int):
-    """Documents whose token count strictly exceeds min_tokens, input order kept."""
-    if min_tokens < 0:
-        raise ValueError(f"min_tokens must be >= 0, got {min_tokens}")
-    return [d for d in docs if len(tok.encode(d)) > min_tokens]
-
-
-def dedup_exact(docs):
-    """Drop exact duplicate documents, keeping first occurrences in order."""
-    seen = set()
-    out = []
-    for d in docs:
-        if d not in seen:
-            seen.add(d)
-            out.append(d)
-    return out

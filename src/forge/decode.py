@@ -76,7 +76,7 @@ def _run(ckpt: Checkpoint, tokens: np.ndarray, positions, cache: KVCache, mask) 
     eps, fill = cfg.rmsnorm_eps, neg_inf_for(x.dtype)
     tables = rope_frequencies(hs, cfg.rope_theta, positions)
     cos, sin = tables.cos.astype(x.dtype), tables.sin.astype(x.dtype)
-    scale = tables.mscale * tables.mscale / math.sqrt(hs)
+    scale = 1 / math.sqrt(hs)
     for i in range(cfg.n_layers):
         lw = {k: p[f"layers.{i}.{k}"].data for k in _LAYER_SHAPES}
         h = _rms_norm(x, lw["attn_norm.g"], eps)[0]

@@ -1,7 +1,6 @@
-"""Decoder-only transformer: RMSNorm, SwiGLU, RoPE with long-context frequency
-interpolation, grouped-query attention (one ``tensor.attention`` node per
-layer over every bucket, whose forward is ``decode``'s kernel ``_attend``),
-pre-norm residuals.
+"""Decoder-only transformer: RMSNorm, SwiGLU, RoPE, grouped-query attention
+(one ``tensor.attention`` node per layer over every bucket, whose forward is
+``decode``'s kernel ``_attend``), pre-norm residuals.
 
 All functions are pure over a parameter dict. ``forward`` maps T token
 ids to a T x vocab logit matrix, or a group of sequences (a GRPO group's
@@ -28,7 +27,12 @@ from .tensor import Tensor, rms_norm  # forward, the layer probe and the span ho
 
 @dataclass
 class ModelConfig:
-    """Architecture hyperparameters. Defaults follow the production 11B layout."""
+    """Architecture hyperparameters. Defaults follow the production 11B layout.
+
+    ``native_ctx`` and ``extended_ctx`` only record the context lengths in
+    every checkpoint header: RoPE runs at its base frequencies, and no code
+    reads them beyond the checks below.
+    """
 
     n_layers: int = 50
     d_model: int = 4096
@@ -171,74 +175,23 @@ def swiglu_ffn(x: Tensor, w_gate: Tensor, w_up: Tensor, w_down: Tensor,
 
 
 @dataclass
-class YarnParams:
-    """NTK-by-parts frequency interpolation for context extension.
-
-    factor: extension ratio (extended / native context).
-    beta_fast / beta_slow: rotation-count thresholds bounding the ramp
-    between pure extrapolation (high-frequency dims) and pure
-    interpolation (low-frequency dims).
-    """
-
-    factor: float
-    native_ctx: int
-    beta_fast: float = 32.0
-    beta_slow: float = 1.0
-
-
-@dataclass
 class RopeTables:
-    """Pure-rotation cos/sin tables for a position list, plus the attention
-    temperature multiplier (1.0 unless long-context interpolation is active)."""
+    """Pure-rotation cos/sin tables for a position list."""
 
     cos: np.ndarray  # (T, head_size/2)
     sin: np.ndarray  # (T, head_size/2)
-    mscale: float = 1.0
 
 
-def _correction_dim(n_rotations: float, head_size: int, theta: float, native_ctx: int) -> float:
-    """Channel-pair index whose wavelength completes n_rotations over native_ctx."""
-    return (head_size * math.log(native_ctx / (n_rotations * 2 * math.pi))) / (2 * math.log(theta))
-
-
-def _ramp(low: float, high: float, n: int) -> np.ndarray:
-    if low == high:
-        high += 0.001  # avoid 0/0 when the band collapses
-    ramp = (np.arange(n, dtype=np.float64) - low) / (high - low)
-    return np.clip(ramp, 0.0, 1.0)
-
-
-def rope_frequencies(
-    head_size: int,
-    theta: float,
-    positions,
-    yarn: YarnParams | None = None,
-) -> RopeTables:
-    """Rotation tables for the given positions.
-
-    Base frequencies are theta^(-2i/head_size). With ``yarn`` set, each
-    frequency is blended between its interpolated value (divided by the
-    scale factor) and its original value: dims rotating at least beta_fast
-    times over the native context keep their frequency, dims rotating at
-    most beta_slow times are fully interpolated, and a linear ramp covers
-    the band between. The logit temperature multiplier 0.1*ln(s)+1 is
-    returned alongside; the tables themselves stay pure rotations.
-    """
+def rope_frequencies(head_size: int, theta: float, positions) -> RopeTables:
+    """Rotation tables for the given positions, at the base frequencies
+    theta^(-2i/head_size)."""
     if head_size % 2 != 0:
         raise ValueError(f"head_size must be even, got {head_size}")
     positions = np.asarray(positions, dtype=np.float64)
     half = head_size // 2
     inv_freq = theta ** (-2.0 * np.arange(half, dtype=np.float64) / head_size)
-    mscale = 1.0
-    if yarn is not None and yarn.factor != 1.0:
-        low = math.floor(_correction_dim(yarn.beta_fast, head_size, theta, yarn.native_ctx))
-        high = math.ceil(_correction_dim(yarn.beta_slow, head_size, theta, yarn.native_ctx))
-        low, high = max(low, 0), min(high, half - 1)
-        extrap_weight = 1.0 - _ramp(low, high, half)
-        inv_freq = (inv_freq / yarn.factor) * (1.0 - extrap_weight) + inv_freq * extrap_weight
-        mscale = 0.1 * math.log(yarn.factor) + 1.0
     angles = positions[:, None] * inv_freq[None, :]
-    return RopeTables(cos=np.cos(angles), sin=np.sin(angles), mscale=mscale)
+    return RopeTables(cos=np.cos(angles), sin=np.sin(angles))
 
 
 def apply_rope(q: Tensor, k: Tensor, tables: RopeTables) -> tuple[Tensor, Tensor]:
@@ -276,12 +229,11 @@ def gqa_attention(
     N rows); weights holds wq/wk/wv/wo. Without a block, mask is a (T, T)
     boolean and tables a ``RopeTables`` (or None); with one, each is a list
     holding one entry per bucket, the mask (T, T) or (count, 1, 1, T, T)
-    and the tables' cos/sin (T, half) or (count, 1, T, half), all with the
-    first entry's mscale. True marks attendable (key) positions, never a
-    future one. Scores are scaled by mscale^2 / sqrt(head_size). The
-    projections run over the whole block, and the rest is one
-    ``tensor.attention`` node over every bucket, never over padding or
-    across sequences.
+    and the tables' cos/sin (T, half) or (count, 1, T, half). True marks
+    attendable (key) positions, never a future one. Scores are scaled by
+    1 / sqrt(head_size). The projections run over the whole block, and the
+    rest is one ``tensor.attention`` node over every bucket, never over
+    padding or across sequences.
     """
     if block is None:
         block, mask, tables = T.RowBlock([x.shape[0]]), [mask], [tables]
@@ -296,8 +248,7 @@ def gqa_attention(
     hs = config.head_size
     q, k, v = (T.block_matmul(x, weights[f"attn.w{n}"], block) for n in "qkv")
     ropes = [None if t is None else (t.cos.astype(x.dtype), t.sin.astype(x.dtype)) for t in tables]
-    mscale = 1.0 if tables[0] is None else tables[0].mscale
-    out = T.attention(q, k, v, block, hs, masks, ropes, mscale * mscale / math.sqrt(hs), neg_inf_for(x.dtype))
+    out = T.attention(q, k, v, block, hs, masks, ropes, 1 / math.sqrt(hs), neg_inf_for(x.dtype))
     return T.block_matmul(out, weights["attn.wo"], block)
 
 
@@ -337,7 +288,6 @@ def forward(
     tokens,
     segment_ids=None,
     positions=None,
-    yarn: YarnParams | None = None,
 ) -> Tensor:
     """Logits (T, vocab) for one token sequence, or for a group of them (see
     ``is_group``) the rows of every sequence's logits, one sequence after
@@ -373,13 +323,13 @@ def forward(
     seg_rows = np.concatenate([np.zeros(len(s), dtype=np.int64) if g is None else np.asarray(g)
                                for s, g in zip(seqs, segs)])
     rope = rope_frequencies(cfg.head_size, cfg.rope_theta, np.concatenate(
-        [np.arange(len(s)) if g is None else np.asarray(g) for s, g in zip(seqs, poss)]), yarn)
+        [np.arange(len(s)) if g is None else np.asarray(g) for s, g in zip(seqs, poss)]))
     half = cfg.head_size // 2
     masks, tables = [], []
     for rows, count, t_len in block.buckets:
         masks.append(np.stack([build_attention_mask(seg) for seg in seg_rows[rows].reshape(count, t_len)])[:, None, None])
         tables.append(RopeTables(cos=rope.cos[rows].reshape(count, 1, t_len, half),
-                                 sin=rope.sin[rows].reshape(count, 1, t_len, half), mscale=rope.mscale))
+                                 sin=rope.sin[rows].reshape(count, 1, t_len, half)))
 
     p = ckpt.params
     x = T.embedding(p["embed.tok"], np.concatenate(seqs), block)

@@ -42,9 +42,6 @@ class TrainSettings:
     accum: int = 1
     weight_decay: float = 0.0
     max_grad_norm: float = 1.0
-    beta1: float = 0.9
-    beta2: float = 0.95
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.steps < 1 or self.accum < 1:
@@ -143,11 +140,7 @@ def _run_steps(ckpt: Checkpoint, settings: TrainSettings, micro_losses, log_fiel
                 grads, norm = clip_grad_norm(grads, settings.max_grad_norm)
             except ValueError as e:  # non-finite gradient
                 raise NumericError(f"step {step}: {e}") from None
-            adamw_step(
-                ckpt.params, grads, state, lr,
-                beta1=settings.beta1, beta2=settings.beta2,
-                eps=settings.eps, weight_decay=settings.weight_decay,
-            )
+            adamw_step(ckpt.params, grads, state, lr, weight_decay=settings.weight_decay)
             row = {"step": step, "lr": lr, "loss": loss_sum / n_micro, "grad_norm": norm}
             for k, v in extra_sums.items():
                 row[k] = v / n_micro

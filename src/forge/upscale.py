@@ -112,18 +112,3 @@ def merge_checkpoints(ckpts: list[Checkpoint], weights) -> Checkpoint:
     out = Checkpoint(config=base.config, params=out_params, format_version=base.format_version)
     validate_checkpoint(out)  # weights whose sums overflow give non-finite values
     return out
-
-
-def rank_checkpoints(scores: dict[str, float]) -> list[str]:
-    """Checkpoint names ordered best-first by eval average (ties: name order)."""
-    return sorted(scores, key=lambda name: (-scores[name], name))
-
-
-def merge_combinations(names: list[str], max_size: int) -> list[tuple[str, ...]]:
-    """All checkpoint subsets of size 2..max_size, in deterministic order."""
-    from itertools import combinations
-
-    out: list[tuple[str, ...]] = []
-    for size in range(2, max_size + 1):
-        out.extend(combinations(sorted(names), size))
-    return out

@@ -271,7 +271,7 @@ def _is_call(c) -> bool:
 
 def check_truth(kind: str, truth) -> None:
     """Raise ValueError unless truth has the shape ``verify`` reads for kind."""
-    if kind not in _TRUTH_SHAPES:
+    if not isinstance(kind, str) or kind not in _TRUTH_SHAPES:
         raise ValueError(f"unknown verifier kind {kind!r}")
     obj = truth if isinstance(truth, dict) else {}
     labels, calls = obj.get("labels"), obj.get("expected")
@@ -300,7 +300,9 @@ def verify(kind: str, response: str, truth) -> VerifyResult:
 
 def score_corpus(path) -> dict:
     """Run golden fixtures {kind, response, truth, expected_reward}; returns
-    per-kind accuracy and any disagreements."""
+    per-kind accuracy and any disagreements. A line that is not a JSON
+    object, lacks a field, has a response that is not a string or a truth that
+    ``check_truth`` rejects raises ValueError naming ``path:line``."""
     per_kind: dict[str, list[int]] = {}
     disagreements = []
     with open(path, encoding="utf-8") as f:
@@ -308,14 +310,22 @@ def score_corpus(path) -> dict:
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
-            result = verify(rec["kind"], rec["response"], rec["truth"])
-            agree = int(result.reward == rec["expected_reward"])
-            per_kind.setdefault(rec["kind"], []).append(agree)
+            try:
+                rec = json.loads(line)
+                if not isinstance(rec, dict):
+                    raise ValueError("not an object")
+                kind, response, truth, want = (rec[k] for k in ("kind", "response", "truth", "expected_reward"))
+                if not isinstance(response, str):
+                    raise ValueError(f"response must be a string, got {response!r}")
+                check_truth(kind, truth)
+            except (KeyError, ValueError) as e:
+                raise ValueError(f"{path}:{line_no}: bad fixture ({e})") from None
+            result = verify(kind, response, truth)
+            agree = int(result.reward == want)
+            per_kind.setdefault(kind, []).append(agree)
             if not agree:
                 disagreements.append(
-                    {"line": line_no, "kind": rec["kind"], "got": result.reward,
-                     "want": rec["expected_reward"], "reason": result.reason}
+                    {"line": line_no, "kind": kind, "got": result.reward, "want": want, "reason": result.reason}
                 )
     return {
         "per_kind_accuracy": {k: sum(v) / len(v) for k, v in sorted(per_kind.items())},

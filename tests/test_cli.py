@@ -567,6 +567,47 @@ def test_verify_runs_golden_corpus(workdir):
     assert all(v == 1.0 for v in report["per_kind_accuracy"].values())
 
 
+@pytest.mark.parametrize("line,message", [
+    ('["math", "\\\\boxed{4}", "4", 1]', "bad fixture (not an object)"),
+    ('{"kind": "math", "response": "\\\\boxed{4}", "truth": {"value": "4"}, "expected_reward": 1}',
+     "math truth: expected a string"),
+    ('{"kind": "mcq", "response": "B", "truth": "B", "expected_reward": 1}', "mcq truth: expected an object"),
+    ('{"kind": "math", "response": 5, "truth": "4", "expected_reward": 1}', "response must be a string, got 5"),
+    ('{"kind": [], "response": "4", "truth": "4", "expected_reward": 1}', "unknown verifier kind []"),
+    ('{"kind": "math", "response": "4", "truth": "4"}', "bad fixture ('expected_reward')"),
+    ('{"kind": "math",', "bad fixture (Expecting property name"),
+], ids=["list-line", "math-object-truth", "mcq-string-truth", "int-response", "list-kind", "no-expected-reward",
+        "bad-json"])
+def test_exit_3_on_malformed_verifier_fixture(workdir, capsys, line, message):
+    good = '{"kind": "math", "response": "\\\\boxed{4}", "truth": "4", "expected_reward": 1}'
+    (workdir / "fix.jsonl").write_text(good + "\n" + line + "\n", encoding="utf-8")
+    p = write_json(workdir / "v.json", {"fixtures": "fix.jsonl", "report": "verify.json"})
+    assert run("verify", p, environ={}) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("forge: data-error:") and "fix.jsonl:2:" in err and message in err, err
+    assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command,cfg,dataset,record,message", [
+    ("pack", {"tokenizer": "tok.json", "dataset": "sft.jsonl", "max_len": 64}, "sft.jsonl",
+     {"messages": [{"role": "user", "content": 5}, {"role": "assistant", "content": "4"}]},
+     "message content must be a string, got 5"),
+    ("train-dpo", DPO_BASE, "pairs.jsonl",
+     {"prompt": [{"role": "user", "content": None}], "chosen": [{"role": "assistant", "content": "4"}],
+      "rejected": [{"role": "assistant", "content": "5"}]},
+     "message content must be a string, got None"),
+    ("train-grpo", {**GRPO_BASE, "group_size": 2, "max_tokens": 4}, "rl.jsonl",
+     {"prompt": [{"role": "user", "content": "2+2=?", "tool_calls": "zz"}], "verifier": "math", "truth": "4"},
+     "tool_calls must be null or a list of objects, got 'zz'"),
+], ids=["pack-int-content", "dpo-null-content", "grpo-string-tool-calls"])
+def test_exit_3_on_chat_message_of_the_wrong_type(workdir, capsys, command, cfg, dataset, record, message):
+    write_json(workdir / dataset, record)
+    assert run(command, write_json(workdir / "c.json", cfg), environ={}) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("forge: data-error:") and f"{dataset}:1:" in err and message in err, err
+    assert err.count("\n") == 1, err
+
+
 def make_eval_suite(dirpath):
     """Two-task suite over byte-token arithmetic prompts."""
     enc = TOK.encode

@@ -11,7 +11,6 @@ from forge.model import (
     Checkpoint,
     ModelConfig,
     RopeTables,
-    YarnParams,
     apply_rope,
     build_attention_mask,
     check_token_ids,
@@ -104,7 +103,6 @@ def test_rope_position_zero_identity_tables():
     tables = rope_frequencies(8, 10000.0, [0])
     np.testing.assert_allclose(tables.cos, 1.0)
     np.testing.assert_allclose(tables.sin, 0.0)
-    assert tables.mscale == 1.0
 
 
 def test_rope_angles_hand_values():
@@ -244,43 +242,6 @@ def test_rope_table_tensor_mismatch():
         apply_rope(q, q, tables)
 
 
-# -- yarn -----------------------------------------------------------------------
-
-
-def test_yarn_factor_one_is_noop():
-    pos = np.arange(6)
-    plain = rope_frequencies(16, 10000.0, pos)
-    scaled = rope_frequencies(16, 10000.0, pos, YarnParams(factor=1.0, native_ctx=32))
-    np.testing.assert_array_equal(plain.cos, scaled.cos)
-    np.testing.assert_array_equal(plain.sin, scaled.sin)
-    assert scaled.mscale == 1.0
-
-
-def _inv_freq_from_tables(head_size, theta, yarn=None):
-    tables = rope_frequencies(head_size, theta, [1], yarn)
-    return np.arctan2(tables.sin, tables.cos)[0]
-
-
-def test_yarn_blends_between_original_and_interpolated():
-    hs, theta, native, factor = 128, 1e6, 32768, 4
-    orig = _inv_freq_from_tables(hs, theta)
-    mixed = _inv_freq_from_tables(hs, theta, YarnParams(factor=factor, native_ctx=native))
-    ratio = mixed / orig
-    assert np.all(ratio <= 1.0 + 1e-12) and np.all(ratio >= 1.0 / factor - 1e-12)
-    # band edges for these constants: full extrapolation below dim 23,
-    # full interpolation above dim 40
-    np.testing.assert_allclose(ratio[:24], 1.0, atol=1e-9)
-    np.testing.assert_allclose(ratio[40:], 1.0 / factor, rtol=1e-9)
-    assert np.all(np.diff(ratio) <= 1e-12)  # monotone ramp
-
-
-def test_yarn_temperature_multiplier():
-    tables = rope_frequencies(
-        128, 1e6, [0], YarnParams(factor=4.0, native_ctx=32768)
-    )
-    assert abs(tables.mscale - (0.1 * math.log(4.0) + 1.0)) < 1e-12
-
-
 # -- gqa attention ----------------------------------------------------------------
 
 
@@ -291,7 +252,6 @@ def mha_oracle(x, wq, wk, wv, wo, mask, hs, tables=None):
     q = (x @ wq).reshape(t_len, nh, hs).transpose(1, 0, 2)
     k = (x @ wk).reshape(t_len, nh, hs).transpose(1, 0, 2)
     v = (x @ wv).reshape(t_len, nh, hs).transpose(1, 0, 2)
-    mscale = 1.0
     if tables is not None:
         def rot(t):
             e, o = t[..., 0::2], t[..., 1::2]
@@ -300,8 +260,7 @@ def mha_oracle(x, wq, wk, wv, wo, mask, hs, tables=None):
             out[..., 1::2] = e * tables.sin + o * tables.cos
             return out
         q, k = rot(q), rot(k)
-        mscale = tables.mscale
-    scores = q @ k.transpose(0, 2, 1) * (mscale * mscale / math.sqrt(hs))
+    scores = q @ k.transpose(0, 2, 1) * (1.0 / math.sqrt(hs))
     scores = np.where(mask, scores, -1e30)
     w = np.exp(scores - scores.max(-1, keepdims=True))
     w = w / w.sum(-1, keepdims=True)

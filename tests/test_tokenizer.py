@@ -1,4 +1,4 @@
-"""BPE tokenizer: round trips, merge-order oracles, stats, and filters."""
+"""BPE tokenizer: round trips, merge-order oracles, and stats."""
 
 from collections import Counter
 
@@ -14,8 +14,6 @@ from forge.datapipe.tokenizer import (
     TokenizerModel,
     _merge_pair,
     allocate_chat_specials,
-    dedup_exact,
-    filter_long_docs,
     load_tokenizer,
     save_tokenizer,
     token_stats,
@@ -313,36 +311,3 @@ def test_reference_cpt_reconstructs_from_chars():
     # densest row: 747 tokens at CpT 2.40 on the ~1794-char Polish sample
     implied_chars = float(np.mean([r[3] * r[4] for r in REFERENCE_ROWS]))
     assert round(implied_chars / 747, 2) == 2.40
-
-
-# -- filters ----------------------------------------------------------------------
-
-
-def byte_tok():
-    return TokenizerModel(merges=[], specials={}, n_reserved=0)
-
-
-def test_filter_strictly_greater():
-    docs = ["12345", "1234567890", "12345678901"]  # 5, 10, 11 byte-tokens
-    kept = filter_long_docs(docs, byte_tok(), 10)
-    assert kept == ["12345678901"]
-
-
-def test_filter_threshold_zero_keeps_nonempty():
-    docs = ["", "a", "bb"]
-    assert filter_long_docs(docs, byte_tok(), 0) == ["a", "bb"]
-
-
-def test_filter_exact_boundary_excluded():
-    doc = "x" * 64
-    assert filter_long_docs([doc], byte_tok(), 64) == []
-    assert filter_long_docs([doc], byte_tok(), 63) == [doc]
-
-
-def test_filter_negative_threshold_rejected():
-    with pytest.raises(ValueError):
-        filter_long_docs([], byte_tok(), -1)
-
-
-def test_dedup_exact_keeps_first():
-    assert dedup_exact(["a", "b", "a", "c", "b"]) == ["a", "b", "c"]

@@ -17,8 +17,6 @@ from forge.upscale import (
     depth_upscale,
     layer_map,
     merge_checkpoints,
-    merge_combinations,
-    rank_checkpoints,
 )
 
 
@@ -170,14 +168,6 @@ def test_merge_errors():
         merge_checkpoints([a, a2], [0.0, 0.0])
     with pytest.raises(ValueError):
         merge_checkpoints([a, a2], [1.0, -1.0])
-
-
-def test_rank_and_combinations():
-    scores = {"a": 0.5, "b": 0.9, "c": 0.9}
-    assert rank_checkpoints(scores) == ["b", "c", "a"]
-    combos = merge_combinations(["a", "b", "c"], max_size=3)
-    assert ("a", "b") in combos and ("a", "b", "c") in combos
-    assert all(len(c) >= 2 for c in combos)
 
 
 # -- checkpoint file format -----------------------------------------------------------
