@@ -24,10 +24,11 @@ import os
 
 import numpy as np
 
-from .model import CHECKPOINT_FORMAT_VERSION, Checkpoint, ModelConfig, validate_checkpoint
+from .model import Checkpoint, ModelConfig, validate_checkpoint
 from .tensor import Tensor
 
 _MAGIC = "forge-checkpoint"
+CHECKPOINT_FORMAT_VERSION = 1
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -36,7 +37,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     validate_checkpoint(ckpt)
     names = sorted(ckpt.params)
     header = io.StringIO()
-    header.write(f"{_MAGIC} {ckpt.format_version}\n")
+    header.write(f"{_MAGIC} {CHECKPOINT_FORMAT_VERSION}\n")
     header.write(f"config {json.dumps(ckpt.config.to_dict(), sort_keys=True)}\n")
     offset = 0
     for name in names:
@@ -97,6 +98,9 @@ def load_checkpoint(path) -> Checkpoint:
     if expected_offset != payload_len:
         raise ValueError(f"{path}: {payload_len - expected_offset} trailing payload bytes")
 
-    ckpt = Checkpoint(config=config, params=params, format_version=CHECKPOINT_FORMAT_VERSION)
-    validate_checkpoint(ckpt)
+    ckpt = Checkpoint(config=config, params=params)
+    try:
+        validate_checkpoint(ckpt)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
     return ckpt

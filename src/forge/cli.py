@@ -13,10 +13,11 @@ int >= n, a number > 0 or >= 0, null or a list of numbers, or one of a set
 of strings; else a config error "<dotted.path>: expected <kind>, got <v>".
 
 Input paths resolve relative to the config file; outputs resolve under
---out (default: the config's directory). Every run writes <command>_
-manifest.json (config hash, seed, versions, output names; no timestamps)
-next to the outputs, and exits 0 on success, 2 on config errors, 3 on
-data errors, 4 on numeric failure.
+--out (default: the config's directory), and an output that would land on
+an input file, the config file or a directory above one is a config error.
+Every run writes <command>_manifest.json (config hash, seed, versions,
+output names; no timestamps) next to the outputs, and exits 0 on success,
+2 on config errors, 3 on data errors, 4 on numeric failure.
 """
 
 from __future__ import annotations
@@ -321,17 +322,39 @@ def _manifest_name(command: str) -> str:
     return f"{command.replace('-', '_')}_manifest.json"
 
 
-def _check_outputs_apart(command: str, cfg: dict, schema: dict) -> None:
+def _outputs(command: str, cfg: dict) -> list:
+    """(key, name) of every output the run writes, the run manifest first."""
+    return [("the run manifest", _manifest_name(command))] + [
+        (key, cfg[key]) for key, spec in SCHEMAS[command].items()
+        if not isinstance(spec, dict) and spec[1].output and cfg[key] is not None]
+
+
+def _check_outputs_apart(command: str, cfg: dict) -> None:
     """No output may name another output's path, the run manifest's, or a
     directory above either."""
-    named = [("the run manifest", _manifest_name(command))] + [
-        (key, cfg[key]) for key, spec in schema.items()
-        if not isinstance(spec, dict) and spec[1].output and cfg[key] is not None]
+    named = _outputs(command, cfg)
     for i, (a, va) in enumerate(named):
         for b, vb in named[i + 1:]:
             pa, pb = Path(va), Path(vb)
             if pa == pb or pa in pb.parents or pb in pa.parents:
                 raise ConfigError(f"{b}: {vb!r} overlaps {a} {va!r}")
+
+
+def _check_inputs_kept(command: str, cfg: dict, config_path: Path, out_root: Path) -> None:
+    """No output under ``out_root`` may resolve to an input file, the config
+    file, or a directory above one of them: the run would overwrite what it
+    reads."""
+    kept = [("the config file", config_path.resolve())]
+    for key, spec in SCHEMAS[command].items():
+        if not isinstance(spec, dict) and spec[1].inputs:
+            many = isinstance(cfg[key], list)
+            for i, rel in enumerate(cfg[key] if many else [cfg[key]]):
+                kept.append((f"{key}[{i}]" if many else key, (config_path.parent / rel).resolve()))
+    for key, name in _outputs(command, cfg):
+        p = (out_root / name).resolve()
+        for what, q in kept:
+            if p == q or p in q.parents:
+                raise ConfigError(f"{key}: {name!r} overlaps {what} {str(q)!r}")
 
 
 def validate_config(command: str, config_path, seed_override=None, environ=None) -> dict:
@@ -354,7 +377,7 @@ def validate_config(command: str, config_path, seed_override=None, environ=None)
     if seed_override is not None:
         cfg["seed"] = seed_override
     _check_leaves(cfg, SCHEMAS[command], config_path.parent)
-    _check_outputs_apart(command, cfg, SCHEMAS[command])
+    _check_outputs_apart(command, cfg)
     _cross_checks(cfg, user_set)
     return cfg
 
@@ -378,14 +401,14 @@ def _load_ckpt(path) -> Checkpoint:
     try:
         return load_checkpoint(path)
     except (ValueError, OSError) as e:
-        raise DataError(f"checkpoint {path}: {e}") from None
+        raise DataError(f"checkpoint: {e}") from None  # e names the path
 
 
 def _load_tok(path):
     try:
         return load_tokenizer(path)
     except (ValueError, OSError) as e:
-        raise DataError(f"tokenizer {path}: {e}") from None
+        raise DataError(f"tokenizer: {e}") from None  # e names the path
 
 
 def _clone(ckpt: Checkpoint) -> Checkpoint:
@@ -609,6 +632,7 @@ def run(command: str, config_path, out_dir=None, seed=None, environ=None) -> int
         cfg = validate_config(command, config_path, seed_override=seed, environ=environ)
         config_path = Path(config_path)
         out_root = Path(out_dir) if out_dir is not None else config_path.parent
+        _check_inputs_kept(command, cfg, config_path, out_root)
         out_root.mkdir(parents=True, exist_ok=True)
         ctx = RunContext(command, cfg, config_path, out_root)
         try:

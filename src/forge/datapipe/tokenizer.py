@@ -243,7 +243,10 @@ def _section(lines: list[str], i: int, name: str, parse):
 
 def load_tokenizer(path) -> TokenizerModel:
     """Inverse of save_tokenizer; a short or malformed file raises ValueError naming it."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
     if not lines or not lines[0].startswith("forge-tokenizer "):
         raise ValueError(f"{path}: not a tokenizer model file")
     try:

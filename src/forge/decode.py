@@ -1,18 +1,18 @@
 """Tape-free decoding with a per-layer key/value cache.
 
-``prefill``, ``extend`` and ``step`` are one ``_run`` with three masks.
-``extend`` appends a block of t tokens per batch row to a cache of length L
-under ``np.tri(t, L + t, L)``: each new token sees every cached key, and the
-block is causal within itself. ``prefill`` is ``extend`` on an empty cache,
-whose mask is then the causal triangle that ``forward`` uses; ``step`` feeds
-one token per row and needs no mask. All work on plain numpy arrays with a
-leading batch axis and run each layer op on the kernel of the tape primitive
-that ``model.forward`` records (``_rms_norm``, ``_swiglu``, and for attention
-``_rotate_pairs`` before the cache and ``_attend`` after it), so ``prefill``
-logits are bit-identical to ``forward``'s, and each row of a batched ``extend``
-or ``step`` to a batch of one. ``extend`` and ``step`` logits agree with the
-matching rows of ``forward`` to float rounding only: a matmul over fewer rows
-may take a different BLAS kernel than the full-sequence one.
+``extend`` is the one kernel entry: it appends a block of t tokens per batch
+row to a cache of length L under ``np.tri(t, L + t, L)``, so each new token
+sees every cached key and the block is causal within itself; one token per
+row sees every key and takes no mask. ``prefill`` is ``extend`` on an empty
+cache, whose mask is then the causal triangle that ``forward`` uses. It
+works on plain numpy arrays with a leading batch axis and runs each layer op
+on the kernel of the tape primitive that ``model.forward`` records
+(``_rms_norm``, ``_swiglu``, and for attention ``_rotate_pairs`` before the
+cache and ``_attend`` after it), so ``prefill`` logits are bit-identical to
+``forward``'s, and each row of a batched ``extend`` to a batch of one.
+``extend`` logits on a non-empty cache agree with the matching rows of
+``forward`` to float rounding only: a matmul over fewer rows may take a
+different BLAS kernel than the full-sequence one.
 
 ``bucket_logits`` is the one batched scorer: eval's choices and the frozen
 reference passes of DPO and GRPO. ``decode`` is the one decoding loop. It
@@ -52,29 +52,34 @@ class KVCache:
 
     def take(self, rows) -> "KVCache":
         """A cache of the given batch rows (repeats allowed), to extend without
-        touching this one: indexing copies, and ``_run`` replaces list entries."""
+        touching this one: indexing copies, and ``extend`` replaces list entries."""
         rows = np.asarray(rows, dtype=np.int64)
         return KVCache(keys=[k[rows] for k in self.keys], values=[v[rows] for v in self.values])
 
     def trim(self, length: int) -> "KVCache":
-        """The first ``length`` positions of every row, as views: ``_run``
+        """The first ``length`` positions of every row, as views: ``extend``
         replaces list entries and never writes into them, so extending the
         trimmed cache leaves this one as it was."""
         return KVCache(keys=[k[:, :, :length] for k in self.keys], values=[v[:, :, :length] for v in self.values])
 
 
-def _run(ckpt: Checkpoint, tokens: np.ndarray, positions, cache: KVCache, mask) -> np.ndarray:
-    """Logits (B, t, vocab) for ``tokens`` (B, t) at ``positions``, attending over
-    the cached keys and values (appended to in place) plus their own; ``mask``
-    is (t, cached + t), or None when every key is attendable. Every matmul is
-    stacked on the batch axis, so numpy runs the same gemm per row as for a
-    batch of one, and a row's bits do not depend on B."""
+def extend(ckpt: Checkpoint, tokens, cache: KVCache) -> np.ndarray:
+    """Append ``tokens`` (B, t) to the B rows of ``cache`` (in place) at
+    positions L..L+t-1; their logits (B, t, vocab). Each new token sees every
+    cached key, and the new tokens see each other causally: the mask is
+    ``np.tri(t, L + t, L)``, and a single token, which sees every key, takes
+    none. Every matmul is stacked on the batch axis, so numpy runs the same
+    gemm per row as for a batch of one, and a row's bits do not depend on B."""
+    tokens = np.asarray(tokens)
+    if tokens.ndim != 2 or tokens.shape[1] == 0:
+        raise ValueError(f"extend: tokens must be (batch, t) with t >= 1, got shape {tokens.shape}")
     cfg, p = ckpt.config, ckpt.params
-    b, t_len = tokens.shape
-    hs = cfg.head_size
+    tokens = check_token_ids(tokens.reshape(-1), cfg.vocab_size).reshape(tokens.shape)
+    (b, t_len), start, hs = tokens.shape, cache.length, cfg.head_size
+    mask = np.tri(t_len, start + t_len, start, dtype=bool) if t_len > 1 else None
     x = p["embed.tok"].data[tokens]
     eps, fill = cfg.rmsnorm_eps, neg_inf_for(x.dtype)
-    tables = rope_frequencies(hs, cfg.rope_theta, positions)
+    tables = rope_frequencies(hs, cfg.rope_theta, np.arange(start, start + t_len))
     cos, sin = tables.cos.astype(x.dtype), tables.sin.astype(x.dtype)
     scale = 1 / math.sqrt(hs)
     for i in range(cfg.n_layers):
@@ -92,19 +97,6 @@ def _run(ckpt: Checkpoint, tokens: np.ndarray, positions, cache: KVCache, mask) 
         h = _rms_norm(x, lw["ffn_norm.g"], eps)[0]
         x = x + _swiglu(h @ lw["ffn.w_gate"], h @ lw["ffn.w_up"]) @ lw["ffn.w_down"]
     return _rms_norm(x, p["final_norm.g"].data, eps)[0] @ p["lm_head"].data
-
-
-def extend(ckpt: Checkpoint, tokens, cache: KVCache) -> np.ndarray:
-    """Append ``tokens`` (B, t) to the B rows of ``cache`` at positions
-    L..L+t-1; their logits (B, t, vocab). Each new token sees every cached
-    key, and the new tokens see each other causally."""
-    tokens = np.asarray(tokens)
-    if tokens.ndim != 2 or tokens.shape[1] == 0:
-        raise ValueError(f"extend: tokens must be (batch, t) with t >= 1, got shape {tokens.shape}")
-    tokens = check_token_ids(tokens.reshape(-1), ckpt.config.vocab_size).reshape(tokens.shape)
-    start, t_len = cache.length, tokens.shape[1]
-    mask = np.tri(t_len, start + t_len, start, dtype=bool)
-    return _run(ckpt, tokens, np.arange(start, start + t_len), cache, mask)
 
 
 def prefill(ckpt: Checkpoint, tokens) -> tuple[np.ndarray, KVCache]:
@@ -128,31 +120,24 @@ def bucket_logits(ckpt: Checkpoint, seqs, cache: KVCache | None = None):
         yield bucket, extend(ckpt, np.stack([seqs[k] for k in bucket]), cache.take([0] * len(bucket)))
 
 
-def step(ckpt: Checkpoint, tokens, cache: KVCache) -> np.ndarray:
-    """Append one token per batch row of ``cache`` to it; their logits (B, vocab)."""
-    tokens = check_token_ids(tokens, ckpt.config.vocab_size)
-    return _run(ckpt, tokens[:, None], [cache.length], cache, None)[:, 0]
-
-
-def decode(ckpt: Checkpoint, prompt, rows: int, max_new: int, choose, stop=(), prefilled=None) -> list[list[int]]:
-    """One round of ``rows`` continuations of ``prompt``, decoded in lockstep:
-    one batched ``step`` per token for all that still run. At token n,
+def decode(ckpt: Checkpoint, prefilled, rows: int, max_new: int, choose, stop=()) -> list[list[int]]:
+    """One round of ``rows`` continuations of a prompt, from its ``prefilled``
+    = ``prefill(ckpt, prompt)``, decoded in lockstep: one batched ``extend``
+    of one token per row for all that still run. At token n,
     ``choose(logits, live, n)`` returns the next ids of the ``live`` rows
     (their indices in the round, ascending) from their last logits
     (len(live), vocab). A row ends at a token in ``stop`` (kept in its
-    output) or after ``max_new`` tokens.
+    output) or after ``max_new`` tokens. Several rounds can start from one
+    prefill, since each copies its cache.
 
     A round keeps the rows up to the first that ended before ``max_new``
     tokens; the rows after it take no token at that step and no further
-    ``step``. This serves a sampler whose row m draws from its stream's
+    ``extend``. This serves a sampler whose row m draws from its stream's
     offset m * ``max_new``: the rows after an early stop started at the
     wrong offsets, and the caller redraws them in another round (see
-    ``train.loops.sample_response``). Greedy decoding is a round of one.
-
-    ``prefilled`` is ``prefill(ckpt, prompt)`` when the caller already has it:
-    several rounds can start from one prefill, since each copies its cache."""
+    ``train.loops.sample_response``). Greedy decoding is a round of one."""
     stop = {int(s) for s in stop}
-    logits, cache = prefill(ckpt, prompt) if prefilled is None else prefilled
+    logits, cache = prefilled
     outs: list[list[int]] = [[] for _ in range(rows)]
     live = np.arange(rows)  # rows still decoding, in order
     cache = cache.take([0] * rows)
@@ -160,7 +145,7 @@ def decode(ckpt: Checkpoint, prompt, rows: int, max_new: int, choose, stop=(), p
     kept = rows
     for n in range(max_new):
         if n:
-            last = step(ckpt, [outs[m][-1] for m in live], cache)
+            last = extend(ckpt, [[outs[m][-1]] for m in live], cache)[:, 0]
         for m, token in zip(live, choose(last, live, n)):
             outs[m].append(int(token))
             if outs[m][-1] in stop and n + 1 < max_new:

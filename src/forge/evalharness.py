@@ -185,7 +185,7 @@ def generate_greedy(ckpt: Checkpoint, context, max_new: int, stop=()) -> list[in
     if not len(context):
         raise ValueError("context is empty")
     stop = set(int(s) for s in stop)
-    out = decode(ckpt, context, 1, max_new, lambda logits, live, n: logits.argmax(axis=-1), stop)[0]
+    out = decode(ckpt, prefill(ckpt, context), 1, max_new, lambda logits, live, n: logits.argmax(axis=-1), stop)[0]
     if out and out[-1] in stop:
         out.pop()
     return out

@@ -90,10 +90,7 @@ class Checkpoint:
 
     config: ModelConfig
     params: dict[str, Tensor]
-    format_version: int = 1
 
-
-CHECKPOINT_FORMAT_VERSION = 1
 
 _LAYER_SHAPES = {
     "attn_norm.g": lambda c: (c.d_model,),

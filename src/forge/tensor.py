@@ -16,7 +16,9 @@ Broadcasting follows trailing-dimension alignment; incompatible shapes
 raise ``ShapeError``. Mixed float32/float64 operands are rejected, but
 ``max_``'s VJP divides by int64 tie counts: gradients through it are float64.
 Layer ops are single nodes over numpy kernels that ``forge.decode`` calls
-too; attention, for one, is ``attention`` over ``_attend``.
+too; attention, for one, is ``attention`` over ``_attend``. Every other op
+is one the pipeline records or a test reference uses; ``silu`` and
+``swiglu`` share the sigmoid kernel ``_stable_sigmoid``.
 """
 
 from __future__ import annotations
@@ -231,9 +233,6 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def __pow__(self, p):
-        return power(self, p)
-
     def __getitem__(self, key):
         return slice_(self, key)
 
@@ -246,14 +245,8 @@ class Tensor:
     def sqrt(self):
         return sqrt(self)
 
-    def sigmoid(self):
-        return sigmoid(self)
-
     def silu(self):
         return silu(self)
-
-    def tanh(self):
-        return tanh(self)
 
     def sum(self, axis=None, keepdims=False):
         return sum_(self, axis, keepdims)
@@ -394,14 +387,6 @@ def log(a: Tensor) -> Tensor:
     return _make("log", np.log(ad), [(a, lambda g: g / ad)])
 
 
-def power(a: Tensor, p: float) -> Tensor:
-    a = _as_tensor(a)
-    p = float(p)
-    ad = a.data
-    out = ad ** p
-    return _make("pow", out, [(a, lambda g: g * p * ad ** (p - 1.0))])
-
-
 def sqrt(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     out = np.sqrt(a.data)
@@ -417,24 +402,12 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return np.divide(num, np.add(den, 1, out=den), out=num)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    out = _stable_sigmoid(a.data)
-    return _make("sigmoid", out, [(a, lambda g: g * out * (1.0 - out))])
-
-
 def silu(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     ad = a.data
     sig = _stable_sigmoid(ad)
     out = ad * sig
     return _make("silu", out, [(a, lambda g: g * (sig * (1.0 + ad * (1.0 - sig))))])
-
-
-def tanh(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    out = np.tanh(a.data)
-    return _make("tanh", out, [(a, lambda g: g * (1.0 - out * out))])
 
 
 def where(cond, a, b) -> Tensor:

@@ -331,7 +331,8 @@ def sample_response(
     this once each, in order, with one ``rng``. When no drawn rollout is
     left, a new round reads a block of ``rng.random()`` draws, one row of
     ``max_tokens`` per rollout still to sample, without advancing ``rng``,
-    and decodes those rollouts in lockstep (``decode.decode``). Row m holds
+    and decodes those rollouts in lockstep from the group's prefill
+    (``decode.decode``, one batched ``extend`` per token). Row m holds
     rollout m's draws if every rollout before it runs the full budget; the
     round keeps the rollouts up to the first that stopped early, and the
     next rounds redraw the rest from where ``rng`` then stands. Each token
@@ -360,7 +361,7 @@ def sample_response(
             cdf /= cdf[:, -1:]
             return (cdf <= uniforms[live, n][:, None]).sum(axis=-1)
 
-        group.drawn = decode(ckpt, prompt_ids, len(uniforms), max_tokens, choose, (stop_id,), group.prefilled)
+        group.drawn = decode(ckpt, group.prefilled, len(uniforms), max_tokens, choose, (stop_id,))
     resp = group.drawn.pop(0)
     group.left -= 1
     rng.random(len(resp))
@@ -418,7 +419,7 @@ def train_grpo(
     A group's rollouts share one prefill of the prompt and one named stream
     (``grpo/step{s}/slot{k}``). ``sample_response`` reads a block of uniform
     draws from it, one row per rollout, and samples the rollouts in lockstep
-    rounds: the same rollouts as sampling them one after another. A group
+    rounds of one batched ``decode.extend`` per token: the same rollouts as sampling them one after another. A group
     takes one round when no rollout stops before ``max_tokens``, and one more
     for each rollout that does and is followed by others.
     """

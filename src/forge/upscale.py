@@ -64,11 +64,7 @@ def depth_upscale(ckpt: Checkpoint, spec: UpscaleSpec) -> Checkpoint:
             if match and int(match.group(1)) == src_idx:
                 out_name = f"layers.{out_idx}.{match.group(2)}"
                 out_params[out_name] = Tensor(tensor.data.copy(), requires_grad=True)
-    out = Checkpoint(
-        config=replace(ckpt.config, n_layers=spec.s),
-        params=out_params,
-        format_version=ckpt.format_version,
-    )
+    out = Checkpoint(config=replace(ckpt.config, n_layers=spec.s), params=out_params)
     validate_checkpoint(out)
     return out
 
@@ -109,6 +105,6 @@ def merge_checkpoints(ckpts: list[Checkpoint], weights) -> Checkpoint:
         for w, ckpt in zip(weights, ckpts):
             acc += w * ckpt.params[name].data.astype(np.float64)
         out_params[name] = Tensor((acc / total).astype(dtype), requires_grad=True)
-    out = Checkpoint(config=base.config, params=out_params, format_version=base.format_version)
+    out = Checkpoint(config=base.config, params=out_params)
     validate_checkpoint(out)  # weights whose sums overflow give non-finite values
     return out

@@ -412,6 +412,45 @@ def test_exit_2_when_two_outputs_share_a_name(workdir, capsys):
     assert err.startswith("forge: config-error: log:") and err.count("\n") == 1, err
 
 
+OVERWRITING_RUNS = [
+    # (command, config file, config, output key, input the output lands on)
+    ("train-sft", "c.json", sft_config(output="base.ckpt"), "output", "base.ckpt"),
+    ("verify", "v.json", {"fixtures": str(FIX / "verifier_golden.jsonl"), "report": "v.json"}, "report", "v.json"),
+    ("scrub", "s.json", {"inputs": ["texts/doc0.txt"], "out_dir": "texts"}, "out_dir", "texts/doc0.txt"),
+]
+
+
+@pytest.mark.parametrize("command,name,cfg,key,kept", OVERWRITING_RUNS, ids=[r[0] for r in OVERWRITING_RUNS])
+def test_exit_2_when_an_output_would_overwrite_an_input(workdir, tmp_path, capsys, command, name, cfg, key, kept):
+    (workdir / "texts").mkdir()
+    (workdir / "texts" / "doc0.txt").write_text("pisz na a@b.pl\n", encoding="utf-8")
+    p = write_json(workdir / name, cfg)
+    before = (workdir / kept).read_bytes()
+    assert run(command, p, environ={}) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"forge: config-error: {key}: ") and err.count("\n") == 1, err
+    assert (workdir / kept).read_bytes() == before
+    # the same names under another output directory overwrite nothing
+    assert run(command, p, out_dir=tmp_path / "elsewhere", environ={}) == 0
+    assert (workdir / kept).read_bytes() == before
+
+
+@pytest.mark.parametrize("key,body,message", [
+    ("checkpoint", lambda ws: b"not a checkpoint\n", "missing payload marker"),
+    ("checkpoint", lambda ws: (ws / "base.ckpt").read_bytes()[:-4] + np.float32(np.nan).tobytes(),
+     "checkpoint tensor"),
+    ("tokenizer", lambda ws: b"forge-tokenizer 1\nvocab 300\n0 00\n", "malformed tokenizer file"),
+    ("tokenizer", lambda ws: b"\xff\xfe", "not UTF-8 text"),
+], ids=["checkpoint", "non-finite-checkpoint", "tokenizer", "non-utf8-tokenizer"])
+def test_data_errors_name_the_key_and_the_path_once(workdir, capsys, key, body, message):
+    (workdir / "bad.bin").write_bytes(body(workdir))
+    p = write_json(workdir / "c.json", sft_config(**{key: "bad.bin"}))
+    assert run("train-sft", p, environ={}) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"forge: data-error: {key}: {workdir / 'bad.bin'}: {message}"), err
+    assert err.count("bad.bin") == 1 and err.count("\n") == 1, err
+
+
 def test_exit_0_prints_no_stderr(workdir, capsys):
     p = write_json(workdir / "up.json", {"checkpoint": "base.ckpt", "m": 0})
     assert run("upscale", p, environ={}) == 0

@@ -1,10 +1,11 @@
 """Cached decoding against the full-recompute reference: prefill logits are
-bit-identical to ``forward``, cached extends and steps match it at a stated
-tolerance, a batched extend's or step's rows are bit-identical to
-single-sequence ones, tape-free log-prob scoring (on ``decode``'s kernel) is
-bit-identical to the taped pass through ``forward``, and sampling (rollouts
-of a group in lockstep rounds) and greedy generation draw the same tokens as
-a loop that re-runs ``forward`` over the whole prefix for every token."""
+bit-identical to ``forward``, cached extends (one token per decoding step,
+or a block) match it at a stated tolerance, a batched extend's rows are
+bit-identical to single-sequence ones, tape-free log-prob scoring (on
+``decode``'s kernel) is bit-identical to the taped pass through
+``forward``, and sampling (rollouts of a group in lockstep rounds) and
+greedy generation draw the same tokens as a loop that re-runs ``forward``
+over the whole prefix for every token."""
 
 import pickle
 from pathlib import Path
@@ -34,7 +35,7 @@ SHAPES = {
 }
 # the benchmark's desk shape (vocabulary 2048), where BLAS may pick other kernels
 DESK = dict(n_layers=4, d_model=256, n_heads=8, n_kv_heads=4, head_size=32, d_ff=1024)
-# float32 step logits differ from forward's last row by BLAS rounding only
+# float32 extend logits differ from forward's last rows by BLAS rounding only
 # (a one-row matmul takes another kernel); float64 shrinks that to ~1e-15
 STEP_ATOL = {np.float32: 1e-5, np.float64: 1e-12}
 
@@ -57,11 +58,11 @@ def random_tokens(n, name="tokens"):
     return named_rng(0, name).integers(0, TOK.base_size, n).tolist()
 
 
-@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("shape", sorted(SHAPES) + ["desk"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_prefill_is_bit_identical_to_forward(shape, dtype):
     ckpt = make_ckpt(shape, dtype)
-    for n in (1, 2, 17, 40):
+    for n in (1, 2, 17, 40):  # one token sees every key, so extend takes no mask
         tokens = random_tokens(n, f"prefill{n}")
         logits, cache = decode.prefill(ckpt, tokens)
         want = forward(ckpt, tokens).numpy()
@@ -78,7 +79,7 @@ def test_cached_steps_match_full_recompute(shape, dtype):
     tokens = random_tokens(30, "steps")
     _, cache = decode.prefill(ckpt, tokens[:5])
     for t in range(5, len(tokens)):
-        logits = decode.step(ckpt, [tokens[t]], cache)[0]
+        logits = decode.extend(ckpt, [[tokens[t]]], cache)[0, 0]
         assert cache.length == t + 1
         want = forward(ckpt, tokens[: t + 1]).numpy()[-1]
         assert logits.dtype == want.dtype
@@ -231,7 +232,7 @@ def test_out_of_range_ids_raise_value_error():
             generate_greedy(ckpt, bad, 4)
     _, cache = decode.prefill(ckpt, [1, 2])
     with pytest.raises(ValueError, match="out of range"):
-        decode.step(ckpt, [vocab], cache)
+        decode.extend(ckpt, [[vocab]], cache)
     assert cache.length == 2
 
 
@@ -304,15 +305,15 @@ def test_batched_step_rows_are_bit_identical_to_single_steps(shape, dtype):
     logits, cache = decode.prefill(ckpt, random_tokens(9, "batched-prompt"))
     feeds = named_rng(1, "batched-feeds").integers(0, vocab, (5, 4))
     batch = cache.take([0] * len(feeds))
-    got = [decode.step(ckpt, feeds[:, 0], batch), decode.step(ckpt, feeds[:, 1], batch)]
+    got = [decode.extend(ckpt, feeds[:, n:n + 1], batch)[:, 0] for n in (0, 1)]
     batch = batch.take([0, 2, 4])
-    got += [decode.step(ckpt, feeds[::2, n], batch) for n in (2, 3)]
+    got += [decode.extend(ckpt, feeds[::2, n:n + 1], batch)[:, 0] for n in (2, 3)]
     for m, feed in enumerate(feeds):
         single = cache.take([0])
         for n, rows in enumerate(got):
             if n >= 2 and m % 2:
                 break
-            want = decode.step(ckpt, [feed[n]], single)
+            want = decode.extend(ckpt, [[feed[n]]], single)[:, 0]
             assert want.shape == (1, vocab) and want.dtype == dtype
             assert np.array_equal(rows[m if n < 2 else m // 2], want[0])
     assert cache.length == 9 and batch.length == 13
@@ -322,19 +323,20 @@ def test_batched_step_rows_are_bit_identical_to_single_steps(shape, dtype):
 def test_a_round_keeps_the_rows_up_to_the_first_early_stop(monkeypatch, stop_at, kept):
     # row 1 draws the stop token at step stop_at of 5; the others never do
     ckpt = make_ckpt()
-    chosen, stepped, original = [], [], decode.step
+    chosen, stepped, original = [], [], decode.extend
 
     def choose(logits, live, n):
         assert logits.shape == (len(live), ckpt.config.vocab_size)
         chosen.append(list(live))
         return [9 if m == 1 and n == stop_at else 3 for m in live]
 
-    def step(c, tokens, cache):
+    def extend(c, tokens, cache):
         stepped.append(len(tokens))
         return original(c, tokens, cache)
 
-    monkeypatch.setattr(decode, "step", step)
-    outs = decode.decode(ckpt, [1, 2], 4, 5, choose, stop=[9])
+    prefilled = decode.prefill(ckpt, [1, 2])
+    monkeypatch.setattr(decode, "extend", extend)
+    outs = decode.decode(ckpt, prefilled, 4, 5, choose, stop=[9])
     assert outs[:2] == [[3] * 5, [3] * stop_at + [9]]
     assert len(outs) == kept
     # a stop before the budget drops rows 2 and 3 from the batch at that

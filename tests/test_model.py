@@ -609,7 +609,7 @@ def test_per_sequence_inputs_are_checked(call, message):
     lambda ck: forward(ck, [1, 2.5]),
     lambda ck: decode.prefill(ck, [2.0]),
     lambda ck: decode.extend(ck, [[1.5]], decode.KVCache(keys=[], values=[])),
-    lambda ck: decode.step(ck, [False], decode.prefill(ck, [1])[1]),
+    lambda ck: decode.extend(ck, [[False]], decode.prefill(ck, [1])[1]),
 ], ids=["float", "bool", "float-array", "str", "forward", "prefill", "extend", "step"])
 def test_non_integer_token_ids_are_rejected(call):
     # ids were once cast: 1.5 scored as id 1 and True as id 1

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from forge.checkpoint import load_checkpoint, save_checkpoint
+from forge.checkpoint import CHECKPOINT_FORMAT_VERSION, load_checkpoint, save_checkpoint
 from forge.model import Checkpoint, ModelConfig, forward, init_params, param_count, validate_checkpoint
 from forge.rng import named_rng
 from forge.tensor import Tensor
@@ -237,7 +237,7 @@ def concatenated_layout(ckpt) -> bytes:
     ``tobytes()`` concatenated in directory order."""
     names = sorted(ckpt.params)
     blobs = [np.ascontiguousarray(ckpt.params[n].data, dtype=np.float32).tobytes() for n in names]
-    lines = [f"forge-checkpoint {ckpt.format_version}",
+    lines = [f"forge-checkpoint {CHECKPOINT_FORMAT_VERSION}",
              f"config {json.dumps(ckpt.config.to_dict(), sort_keys=True)}"]
     offset = 0
     for name, blob in zip(names, blobs):
