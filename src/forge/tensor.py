@@ -14,11 +14,14 @@ caller still holds, stay readable through ``grad``.
 
 Broadcasting follows trailing-dimension alignment; incompatible shapes
 raise ``ShapeError``. Mixed float32/float64 operands are rejected, but
-``max_``'s VJP divides by int64 tie counts: gradients through it are float64.
+``max_``'s VJP divides by int64 tie counts: gradients through it are float64,
+and so are those through ``target_logprobs``, whose VJP replays that division.
 Layer ops are single nodes over numpy kernels that ``forge.decode`` calls
-too; attention, for one, is ``attention`` over ``_attend``. Every other op
-is one the pipeline records or a test reference uses; ``silu`` and
-``swiglu`` share the sigmoid kernel ``_stable_sigmoid``.
+too; attention, for one, is ``attention`` over ``_attend``. The loss head
+``target_logprobs`` is one node as well. Every other op is one the pipeline
+records or a test reference uses; ``silu`` and ``swiglu`` share the sigmoid
+kernel ``_stable_sigmoid``. ``where`` and ``concat`` are test references
+only, since the loss heads that recorded them became single nodes.
 """
 
 from __future__ import annotations
@@ -846,7 +849,7 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def target_logprobs(logits: Tensor, targets, mask=None) -> Tensor:
-    """Dense masked product ``log_softmax(logits) * onehot(targets)``.
+    """Dense masked product ``log_softmax(logits) * onehot(targets)``, as one node.
 
     Row i holds log p(targets[i]) at column targets[i] and zeros elsewhere;
     rows outside the boolean ``mask`` are all zero, so no gradient reaches
@@ -855,13 +858,43 @@ def target_logprobs(logits: Tensor, targets, mask=None) -> Tensor:
     per row because its sums must stay bit-identical to recorded runs: a
     gathered sum moves DPO response totals in the last bits, and GRPO
     trajectories downstream with them.
+
+    The VJP replays the composite's: the logits take the first ``sub``'s part,
+    then ``max_``'s, whose division by int64 tie counts makes it float64. It
+    keeps the logits and the exponentials, as the composite's ``max_`` and
+    ``exp`` did, and rebuilds the one-hot.
     """
     logits = _as_tensor(logits)
     targets = np.asarray(targets, dtype=np.int64)
     rows = np.arange(len(targets)) if mask is None else np.flatnonzero(mask)
-    onehot = np.zeros(logits.shape, dtype=logits.data.dtype)
-    onehot[rows, targets[rows]] = 1.0
-    return log_softmax(logits, axis=-1) * onehot
+    cols = targets[rows]
+    xd = logits.data
+    shape, dtype = xd.shape, xd.dtype
+    m = xd.max(axis=-1, keepdims=True)
+    out = xd - m
+    e = np.exp(out)
+    total = e.sum(axis=-1, keepdims=True)
+    onehot = np.zeros(shape, dtype=dtype)
+    onehot[rows, cols] = 1.0
+    np.multiply(np.subtract(out, np.log(total), out=out), onehot, out=out)
+    kept = [xd, e] if logits.requires_grad else []  # popped: e by the first part, the logits by the second
+
+    def vjp_sub(g):  # the first sub's part, through the second sub, log, sum and exp
+        g_ls = np.zeros(shape, dtype=np.result_type(g.dtype, dtype))  # the one-hot, exact in either dtype
+        g_ls[rows, cols] = 1.0
+        np.multiply(g, g_ls, out=g_ls)
+        g_e = np.broadcast_to(_unbroadcast(-g_ls, total.shape) / total, shape).copy()
+        g_x = np.add(g_ls, np.multiply(g_e, kept.pop(), out=g_e), out=g_e)
+        kept.append(_unbroadcast(-g_x, total.shape))
+        return g_x
+
+    def vjp_max(g):  # g_m * hit is exact in any float dtype; dividing by the int64 tie counts makes float64
+        g_m, x = kept.pop(), kept.pop()
+        hit = x == m
+        g_x = np.multiply(np.broadcast_to(g_m, shape), hit, dtype=np.float64)
+        return np.divide(g_x, hit.sum(axis=-1, keepdims=True), out=g_x)
+
+    return _make("target_logprobs", out, [(logits, vjp_sub), (logits, vjp_max)])
 
 
 # -- finite-difference oracle --------------------------------------------------

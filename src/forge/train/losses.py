@@ -4,6 +4,11 @@ group-relative policy optimization with a low-variance KL penalty.
 Losses take log-probabilities or logits as tape tensors so every objective
 is differentiable end to end through the model; reference/behavior-policy
 quantities enter as plain arrays (constants under the tape).
+
+Each loss head is one tape node: ``tensor.target_logprobs`` under ``sft_loss``,
+the DPO/DPOP loss and ``grpo_objective``. Their VJPs replay the composites they
+replaced, which ``tests/reference.py`` keeps, so gradients keep their bits.
+``kl_k3`` stays a composite; ``grpo_objective`` computes the same estimate inline.
 """
 
 from __future__ import annotations
@@ -14,14 +19,6 @@ import numpy as np
 
 from .. import tensor as T
 from ..tensor import Tensor
-
-
-def _softplus(x: Tensor) -> Tensor:
-    """log(1 + e^x), computed as max(x,0) + log1p(e^-|x|) to avoid overflow."""
-    zero = Tensor(np.zeros_like(x.data))
-    pos = x.data > 0
-    absx = T.where(pos, x, -x)
-    return T.where(pos, x, zero) + (1.0 + (-absx).exp()).log()
 
 
 def sft_loss(logits: Tensor, targets, loss_mask) -> Tensor:
@@ -55,30 +52,60 @@ class PreferenceBatch:
     lam_dpop: float = 5.0
 
     def __post_init__(self):
-        self.ref_chosen = np.asarray(self.ref_chosen, dtype=self.policy_chosen.data.dtype)
-        self.ref_rejected = np.asarray(self.ref_rejected, dtype=self.policy_rejected.data.dtype)
+        pc, pr = self.policy_chosen, self.policy_rejected
+        self.ref_chosen = np.asarray(self.ref_chosen, dtype=pc.data.dtype)
+        self.ref_rejected = np.asarray(self.ref_rejected, dtype=pr.data.dtype)
         if self.beta <= 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
         if self.lam_dpop < 0:
             raise ValueError(f"lam_dpop must be non-negative, got {self.lam_dpop}")
-        for arr in (
-            self.policy_chosen.data, self.policy_rejected.data,
-            self.ref_chosen, self.ref_rejected,
-        ):
+        shapes = (pc.shape, pr.shape, self.ref_chosen.shape, self.ref_rejected.shape)
+        if len(pc.shape) != 1 or len(set(shapes)) != 1:
+            raise ValueError("preference batch needs four (B,) log-prob arrays, got policy_chosen {}, "
+                             "policy_rejected {}, ref_chosen {}, ref_rejected {}".format(*shapes))
+        if pc.dtype != pr.dtype:
+            raise ValueError(f"preference batch mixes dtypes {pc.dtype.name} and {pr.dtype.name}")
+        for arr in (pc.data, pr.data, self.ref_chosen, self.ref_rejected):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("preference batch contains non-finite log-probs")
 
 
 def _preference_loss(batch: PreferenceBatch, lam: float) -> Tensor:
-    margin = (batch.policy_chosen - batch.ref_chosen) - (
-        batch.policy_rejected - batch.ref_rejected
-    )
+    """Mean over pairs of softplus(-beta * margin) = -log sigmoid(beta * margin), as one node. The
+    margin is (pc - rc) - (pr - rr), less lam * max(0, rc - pc) unless lam is 0; softplus(x) is
+    max(x, 0) + log(1 + e^-|x|), which never raises e to a positive power. The VJP replays the
+    composite's (``where``, ``neg``, ``exp``, ``log``, ``mean`` and the margin's subs): x takes
+    its parts from max(x, 0), |x| and -x in that order, and the chosen log-probs take the
+    hinge's part before the margin's."""
+    pc, pr, rc, rr = batch.policy_chosen, batch.policy_rejected, batch.ref_chosen, batch.ref_rejected
+    dtype = pc.dtype
+    zero, neg_beta, lam_d = dtype.type(0), np.asarray(-batch.beta, dtype=dtype), np.asarray(lam, dtype=dtype)
+    margin = (pc.data - rc) - (pr.data - rr)
     if lam != 0.0:
-        short = batch.ref_chosen - batch.policy_chosen  # >0 when policy lost mass
-        zero = Tensor(np.zeros_like(short.data))
-        margin = margin - lam * T.where(short.data > 0, short, zero)
-    # -log sigmoid(beta * margin) = softplus(-beta * margin)
-    return _softplus(margin * (-batch.beta)).mean()
+        short = rc - pc.data
+        hinge = short > 0  # the policy lost mass on the chosen response
+        margin = margin - np.where(hinge, short, zero) * lam_d
+    x = margin * neg_beta
+    pos = x > 0
+    e = np.exp(-np.where(pos, x, -x))
+    one_e = e + dtype.type(1.0)
+    soft = np.where(pos, x, zero) + np.log(one_e)
+    parts: dict = {}
+
+    def vjp(key, g):
+        if not parts:  # the first call computes every part
+            g_soft = np.broadcast_to(g, soft.shape) / soft.size
+            g_abs = -(g_soft / one_e * e)
+            g_x = np.where(pos, g_soft, zero) + np.where(pos, g_abs, zero) + -np.where(pos, zero, g_abs)
+            g_margin = g_x * neg_beta
+            if lam != 0.0:
+                parts["hinge"] = -np.where(hinge, -g_margin * lam_d, zero)
+            parts["rejected"], parts["chosen"] = -g_margin, g_margin
+        return parts.pop(key)
+
+    entries = [(pc, "hinge")] if lam != 0.0 else []
+    entries += [(pr, "rejected"), (pc, "chosen")]
+    return T._make("preference_loss", soft.mean(), [(t, lambda g, key=key: vjp(key, g)) for t, key in entries])
 
 
 def dpo_loss(batch: PreferenceBatch) -> Tensor:
@@ -149,54 +176,77 @@ class GrpoGroup:
             raise ValueError(f"group size must be >= 2, got {g}")
         if not (len(self.logp_old) == len(self.logp_ref) == g == len(self.rewards)):
             raise ValueError("group fields disagree on G")
-        for i in range(g):
-            n = self.logp_policy[i].shape[0]
-            if len(self.logp_old[i]) != n or len(self.logp_ref[i]) != n:
-                raise ValueError(f"response {i}: per-token log-prob lengths differ")
+        for i, lp in enumerate(self.logp_policy):
+            old, ref = np.shape(self.logp_old[i]), np.shape(self.logp_ref[i])
+            if lp.ndim != 1 or old != lp.shape or ref != lp.shape:
+                raise ValueError(f"response {i}: per-token log-prob lengths differ or are not 1-D: "
+                                 f"policy {lp.shape}, old {old}, ref {ref}")
+        dtypes = sorted({lp.dtype.name for lp in self.logp_policy})
+        if len(dtypes) > 1:
+            raise ValueError(f"policy log-probs mix dtypes {', '.join(dtypes)}")
 
 
 def grpo_objective(group: GrpoGroup) -> Tensor:
-    """Clipped-surrogate policy loss plus KL penalty.
+    """Clipped-surrogate policy loss plus KL penalty, as one node over the group's ``logp_policy``.
 
     Per token: rho = exp(logp_policy - logp_old), surrogate =
-    min(rho * a, clip(rho, 1-eps, 1+eps) * a). The grpo variant averages
-    tokens within each response then across the group; dr_grpo sums all
-    tokens and divides by G * max_tokens, dropping per-length normalization.
+    min(rho * a, clip(rho, 1-eps, 1+eps) * a), and ``kl_k3`` against the
+    reference. The grpo variant averages tokens within each response then
+    across the group; dr_grpo sums all tokens and divides by G * max_tokens,
+    dropping per-length normalization. The loss is -surrogate + kl_coef * KL.
+
+    Each response keeps its own arrays, as the composite of ``where``, ``exp``,
+    ``kl_k3``, ``concat`` and ``mean`` it replaces computed them, and the VJP
+    replays that composite's: each log-prob tensor, last response first, takes
+    the KL chain's part, then the surrogate's, where rho takes the unclipped
+    product's part before the clip's.
     """
     adv = grpo_advantages(group.rewards, group.variant)
     g = len(group.logp_policy)
     lo, hi = 1.0 - group.clip_eps, 1.0 + group.clip_eps
-
-    surrogate_terms: list[Tensor] = []
-    kl_terms: list[Tensor] = []
-    for i in range(g):
-        lp = group.logp_policy[i]
-        old = np.asarray(group.logp_old[i], dtype=lp.data.dtype)
-        rho = (lp - old).exp()
-        clipped = T.where(
-            rho.data < lo,
-            Tensor(np.full_like(rho.data, lo)),
-            T.where(rho.data > hi, Tensor(np.full_like(rho.data, hi)), rho),
-        )
-        a = float(adv[i])
+    dtype, per_response = group.logp_policy[0].dtype, group.variant == "grpo"
+    zero, kl_coef = dtype.type(0), np.asarray(group.kl_coef, dtype=dtype)
+    saved, surr_terms, kl_terms = [], [], []
+    for i, lp in enumerate(group.logp_policy):
+        rho = np.exp(lp.data - np.asarray(group.logp_old[i], dtype=dtype))
+        below, above = rho < lo, rho > hi
+        a = np.asarray(float(adv[i]), dtype=dtype)
         s_un = rho * a
-        s_cl = clipped * a
-        surr = T.where(s_un.data < s_cl.data, s_un, s_cl)
-        kl = kl_k3(lp, group.logp_ref[i])
-        if group.variant == "grpo":
-            surrogate_terms.append(surr.mean())
-            kl_terms.append(kl.mean())
-        else:
-            surrogate_terms.append(surr.sum())
-            kl_terms.append(kl.sum())
-
-    stacked_s = T.concat([t.reshape(1) for t in surrogate_terms], axis=0)
-    stacked_k = T.concat([t.reshape(1) for t in kl_terms], axis=0)
-    if group.variant == "grpo":
-        agg_s = stacked_s.mean()
-        agg_k = stacked_k.mean()
+        s_cl = np.where(below, dtype.type(lo), np.where(above, dtype.type(hi), rho)) * a
+        unclipped = s_un < s_cl
+        surr = np.where(unclipped, s_un, s_cl)
+        log_rho = -lp.data + np.asarray(group.logp_ref[i], dtype=dtype)
+        e = np.exp(log_rho)
+        kl = e - log_rho - dtype.type(1.0)
+        surr_terms.append(surr.mean() if per_response else surr.sum())
+        kl_terms.append(kl.mean() if per_response else kl.sum())
+        saved.append((rho, e, a, below, above, unclipped))
+    stacked_s, stacked_k = np.array(surr_terms), np.array(kl_terms)
+    if per_response:
+        agg_s, agg_k = stacked_s.mean(), stacked_k.mean()
     else:
-        budget = float(g * group.max_tokens)
-        agg_s = stacked_s.sum() / budget
-        agg_k = stacked_k.sum() / budget
-    return -agg_s + group.kl_coef * agg_k
+        budget = np.asarray(float(g * group.max_tokens), dtype=dtype)
+        agg_s, agg_k = stacked_s.sum() / budget, stacked_k.sum() / budget
+    parts: dict = {}
+
+    def spread(total, n):  # mean's or sum's VJP
+        return np.broadcast_to(total, (n,)) / n if per_response else np.broadcast_to(total, (n,)).copy()
+
+    def vjp(key, g_loss):
+        if not parts:  # the first call computes every part
+            g_s, g_k = -g_loss, g_loss * kl_coef
+            if not per_response:
+                g_s, g_k = g_s / budget, g_k / budget
+            g_s, g_k = spread(g_s, g), spread(g_k, g)
+            for i, (rho, e, a, below, above, unclipped) in enumerate(saved):
+                n = len(rho)
+                g_kl, g_surr = spread(g_k[i], n), spread(g_s[i], n)
+                parts["kl", i] = -(-g_kl + g_kl * e)
+                g_clipped = np.where(unclipped, zero, g_surr) * a
+                g_rho = np.where(unclipped, g_surr, zero) * a + np.where(above, zero, np.where(below, zero, g_clipped))
+                parts["surr", i] = g_rho * rho
+            saved.clear()
+        return parts.pop(key)
+
+    entries = [(lp, (part, i)) for i, lp in reversed(list(enumerate(group.logp_policy))) for part in ("kl", "surr")]
+    return T._make("grpo_objective", -agg_s + agg_k * kl_coef, [(t, lambda g, key=key: vjp(key, g)) for t, key in entries])

@@ -36,7 +36,7 @@ from forge.train.loops import (
     train_grpo,
     train_sft,
 )
-from forge.train.losses import GrpoGroup, PreferenceBatch, dpop_loss, grpo_objective
+from forge.train.losses import GrpoGroup, PreferenceBatch, dpo_loss, dpop_loss, grpo_objective
 from forge.train.schedule import ScheduleSpec
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -156,6 +156,37 @@ def test_taped_pass_leaves_no_reference_cycle(name):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_loss_heads_are_one_tape_node_each():
+    """A GRPO group as ``train_grpo`` builds it records one ``target_logprobs``
+    node over the group's pass and one ``grpo_objective`` node, and no primitive
+    of their composites (``where``, ``sub``, ``mean``, ``exp``, ``concat``, ...).
+    A DPO or DPOP pair's loss, as ``train_dpo`` builds it, adds one node."""
+    ckpt = fresh_ckpt()
+    rng = named_rng(0, "loss-head-tape")
+    prompt = rng.integers(0, TOK.vocab_size, 6).tolist()
+    rollouts = [prompt + rng.integers(0, TOK.vocab_size, n).tolist() for n in (3, 5, 3, 2)]
+    with T.Graph() as g:
+        lp = token_logprobs(ckpt, rollouts, len(prompt))
+        head = len(g.nodes)
+        grpo_objective(GrpoGroup(logp_policy=lp, logp_old=[t.data for t in lp],
+                                 logp_ref=[t.data + 0.1 for t in lp], rewards=np.array([1.0, 0.0, 0.0, 1.0])))
+    ops = [n.op for n in g.nodes]
+    assert ops[head:] == ["grpo_objective"] and ops.count("target_logprobs") == 1
+    assert set(ops) == {"leaf", "embedding", "rms_norm", "block_matmul", "attention", "swiglu", "add",
+                        "slice", "sum", "target_logprobs", "grpo_objective"}
+
+    tokens = np.array([3, 1, 4, 1, 5, 9, 2, 6], dtype=np.int64)
+    mask = np.arange(len(tokens)) >= 4
+    for loss_fn in (dpo_loss, dpop_loss):
+        with T.Graph() as g:
+            chosen, rejected = response_logprob(ckpt, [tokens, tokens[::-1]], [mask, mask])
+            batch = PreferenceBatch(policy_chosen=T.reshape(chosen, (1,)), policy_rejected=T.reshape(rejected, (1,)),
+                                    ref_chosen=[chosen.item() + 0.5], ref_rejected=[rejected.item()])  # hinge active
+            head = len(g.nodes)
+            loss_fn(batch)
+        assert [n.op for n in g.nodes[head:]] == ["preference_loss"]
 
 
 # --- sft over packed batches ---

@@ -1,10 +1,15 @@
-"""Objectives: hand-valued examples, identities, and gradient checks."""
+"""Objectives: hand-valued examples, identities, gradient checks, and the
+single-node loss heads against their composites in ``reference.py``."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+import reference
 
 from forge import tensor as T
 from forge.tensor import Graph, Tensor
@@ -331,3 +336,121 @@ def test_grpo_gradient_check(variant):
     }
     err = T.gradient_check(loss, params)
     assert err < GRAD_TOL, f"{variant}: {err:.2e}"
+
+
+# -- bad shapes -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("chosen,rejected,refs", [
+    ((3,), (3,), (1,)),  # one reference for three pairs
+    ((2,), (2, 1), (2,)),  # a column against a row: 4 "pairs"
+    ((2, 1), (2, 1), (2, 1)),
+])
+def test_preference_batch_rejects_shapes_that_would_broadcast(chosen, rejected, refs):
+    with pytest.raises(ValueError, match=r"\(B,\) log-prob arrays.*" + re.escape(str(rejected))):
+        PreferenceBatch(policy_chosen=Tensor(np.full(chosen, -1.0)), policy_rejected=Tensor(np.full(rejected, -2.0)),
+                        ref_chosen=np.full(refs, -1.5), ref_rejected=np.full(refs, -2.5))
+
+
+def test_preference_batch_rejects_mixed_dtypes():
+    with pytest.raises(ValueError, match="float64 and float32"):
+        PreferenceBatch(policy_chosen=Tensor(np.zeros(2)), policy_rejected=Tensor(np.zeros(2, dtype=np.float32)),
+                        ref_chosen=np.zeros(2), ref_rejected=np.zeros(2))
+
+
+@pytest.mark.parametrize("policy,old", [((3, 1), (3, 1)), ((3, 1), (3,)), ((3,), (3, 1))])
+def test_grpo_group_rejects_per_token_arrays_that_are_not_flat(policy, old):
+    with pytest.raises(ValueError, match=r"response 0: .*" + re.escape(str(policy))):
+        GrpoGroup(logp_policy=[Tensor(np.zeros(policy)), Tensor(np.zeros(2))],
+                  logp_old=[np.zeros(old), np.zeros(2)], logp_ref=[np.zeros(old), np.zeros(2)],
+                  rewards=np.array([1.0, 0.0]))
+
+
+def test_grpo_group_rejects_mixed_dtypes():
+    with pytest.raises(ValueError, match="float32, float64"):
+        GrpoGroup(logp_policy=[Tensor(np.zeros(2)), Tensor(np.zeros(2, dtype=np.float32))],
+                  logp_old=[np.zeros(2)] * 2, logp_ref=[np.zeros(2)] * 2, rewards=np.array([1.0, 0.0]))
+
+
+# -- single-node loss heads against their composites ---------------------------------
+
+DTYPES = st.sampled_from([np.float32, np.float64])
+# few distinct values, so that rows tie at their maximum and log-ratios repeat
+VALUES = st.sampled_from([-2.0, -0.5, 0.0, 0.25, 1.5]) | st.floats(-4, 4, width=32)
+
+
+def assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        if a is None or b is None:
+            assert a is None and b is None
+            continue
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b) and a.tobytes() == b.tobytes()  # the bytes also see the sign of a zero
+
+
+def taped(fn, inputs, weight):
+    """fn's value and the gradient of sum(fn * weight) for each input, in order."""
+    with Graph() as g:
+        y = fn()
+        loss = (y * weight).sum()
+    g.backward(loss)
+    return [y.data] + [g.grad(x) for x in inputs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(dtype=DTYPES, rows=st.integers(1, 5), vocab=st.integers(1, 6), data=st.data())
+def test_target_logprobs_node_matches_composite(dtype, rows, vocab, data):
+    logits = data.draw(arrays(dtype, (rows, vocab), elements=VALUES))
+    if data.draw(st.booleans()):
+        logits[:, -1] = logits.max(axis=-1)  # every row's maximum tied
+    targets = data.draw(arrays(np.int64, rows, elements=st.integers(0, vocab - 1)))
+    mask = data.draw(st.none() | arrays(bool, rows))
+    weight = data.draw(arrays(dtype, (rows, vocab), elements=st.floats(-2, 2, width=32)))
+    x = Tensor(logits, requires_grad=True)
+    got = taped(lambda: T.target_logprobs(x, targets, mask), [x], weight)
+    assert_same_bits(got, taped(lambda: reference.target_logprobs(x, targets, mask), [x], weight))
+
+
+@settings(max_examples=150, deadline=None)
+@given(dtype=DTYPES, pairs=st.integers(1, 4), data=st.data())
+def test_preference_node_matches_composite(dtype, pairs, data):
+    def log_probs():
+        return data.draw(arrays(dtype, pairs, elements=VALUES)) - dtype(3)
+
+    ref_c, ref_r = log_probs(), log_probs()
+    # chosen log-probs below, at and above the reference: the DPOP hinge active and inactive
+    chosen = Tensor(ref_c + data.draw(arrays(dtype, pairs, elements=st.sampled_from([-0.5, 0.0, 0.5]) | VALUES)),
+                    requires_grad=True)
+    rejected = chosen if data.draw(st.booleans()) else Tensor(log_probs(), requires_grad=True)
+    beta = data.draw(st.sampled_from([0.1, 0.3, 2.0]))
+    lam = data.draw(st.sampled_from([0.0, 0.5, 5.0]))
+    weight = dtype(data.draw(st.sampled_from([1.0, -0.75, 3.0])))
+    batch = PreferenceBatch(policy_chosen=chosen, policy_rejected=rejected, ref_chosen=ref_c, ref_rejected=ref_r,
+                            beta=beta, lam_dpop=lam)
+    for fn, want_lam in ((dpo_loss, 0.0), (dpop_loss, lam)):
+        got = taped(lambda: fn(batch), [chosen, rejected], weight)
+        assert_same_bits(got, taped(lambda: reference.preference_loss(batch, want_lam), [chosen, rejected], weight))
+
+
+@settings(max_examples=150, deadline=None)
+@given(dtype=DTYPES, lengths=st.lists(st.integers(1, 4), min_size=2, max_size=4), data=st.data())
+def test_grpo_node_matches_composite(dtype, lengths, data):
+    alias = data.draw(st.booleans())  # the same tensor for the first two responses
+    if alias:
+        lengths[1] = lengths[0]
+    policy = [data.draw(arrays(dtype, n, elements=VALUES)) - dtype(2) for n in lengths]
+    # log-ratios that put rho below, inside and above the clip band 1 +- 0.2
+    ratio = st.sampled_from([-0.5, -0.125, 0.0, 0.125, 0.5]) | st.floats(-0.625, 0.625, width=32)
+    old = [p - data.draw(arrays(dtype, len(p), elements=ratio)) for p in policy]
+    ref = [p + data.draw(arrays(dtype, len(p), elements=ratio)) for p in policy]
+    lp = [Tensor(p, requires_grad=data.draw(st.booleans()) or i == 0) for i, p in enumerate(policy)]
+    if alias:
+        lp[1], old[1] = lp[0], old[0]
+    rewards = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=len(lp), max_size=len(lp))))
+    weight = dtype(data.draw(st.sampled_from([1.0, -0.75, 3.0])))
+    for variant in ("grpo", "dr_grpo"):
+        group = GrpoGroup(logp_policy=lp, logp_old=old, logp_ref=ref, rewards=rewards, clip_eps=0.2,
+                          kl_coef=data.draw(st.sampled_from([0.0, 0.001, 0.5])), variant=variant, max_tokens=8)
+        got = taped(lambda: grpo_objective(group), lp, weight)
+        assert_same_bits(got, taped(lambda: reference.grpo_objective(group), lp, weight))

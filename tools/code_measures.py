@@ -9,7 +9,13 @@ Tape nodes: the nodes a ``Graph`` records, by op, for
   layer adds to it;
 - one toy GRPO group: the taped policy pass (``token_logprobs`` over 8
   rollouts of 3 lengths behind one prompt) plus ``grpo_objective``, as
-  ``train_grpo`` builds it. The rollouts are fixed draws, not samples.
+  ``train_grpo`` builds it. The rollouts are fixed draws, not samples;
+- one toy DPO pair: the taped pass over the chosen and rejected sequences
+  (``response_logprob``) plus ``dpop_loss`` with its hinge active, as
+  ``train_dpo`` builds it.
+
+Together these cover the three loss heads: ``target_logprobs``,
+``grpo_objective`` and the DPO/DPOP loss.
 
 It reads no clock and draws only from named streams, so the same tree
 prints the same text.
@@ -28,9 +34,9 @@ import numpy as np
 
 from forge.model import ModelConfig, forward, init_params
 from forge.rng import named_rng
-from forge.tensor import Graph
-from forge.train.loops import token_logprobs
-from forge.train.losses import GrpoGroup, grpo_objective
+from forge.tensor import Graph, reshape
+from forge.train.loops import response_logprob, token_logprobs
+from forge.train.losses import GrpoGroup, PreferenceBatch, dpop_loss, grpo_objective
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -76,6 +82,24 @@ def grpo_group_ops() -> Counter:
     return tape_ops(build)
 
 
+def dpo_pair_ops() -> Counter:
+    ckpt = init_params(toy_config(1), named_rng(0, "code-measures/dpo"))
+    rng = named_rng(0, "code-measures/pair")
+    prompt = rng.integers(0, 64, 12).tolist()
+    seqs = [prompt + rng.integers(0, 64, n).tolist() for n in (6, 9)]
+    masks = [np.arange(len(s)) >= len(prompt) for s in seqs]
+    ref = [lp.item() for lp in response_logprob(ckpt, seqs, masks)]
+
+    def build():
+        chosen, rejected = response_logprob(ckpt, seqs, masks)
+        dpop_loss(PreferenceBatch(
+            policy_chosen=reshape(chosen, (1,)), policy_rejected=reshape(rejected, (1,)),
+            ref_chosen=[ref[0] + 0.5], ref_rejected=[ref[1]],  # the policy lost mass: hinge active
+        ))
+
+    return tape_ops(build)
+
+
 def main() -> None:
     files = sorted(SRC.rglob("*.py"))
     counts = [(p.relative_to(SRC.parent), p.read_bytes().count(b"\n")) for p in files]
@@ -87,6 +111,7 @@ def main() -> None:
     print_ops("one-layer toy forward", one)
     print_ops("a second layer adds", forward_ops(2) - one)
     print_ops("toy GRPO group (policy pass + grpo_objective)", grpo_group_ops())
+    print_ops("toy DPO pair (policy pass + dpop_loss)", dpo_pair_ops())
 
 
 if __name__ == "__main__":
