@@ -125,11 +125,10 @@ class EvalReport:
 
 def sequence_logprobs(ckpt: Checkpoint, tokens) -> np.ndarray:
     """Log-prob of tokens[i] given tokens[:i], for i >= 1; length T-1."""
-    tokens = np.asarray(tokens, dtype=np.int64)
+    tokens = check_token_ids(tokens, ckpt.config.vocab_size)
     if len(tokens) < 2:
         raise ValueError("need at least two tokens to score a continuation")
-    logits = forward(ckpt, tokens[:-1])
-    return T.sum_(T.target_logprobs(logits, tokens[1:]), axis=-1).numpy()
+    return _row_logprobs(forward(ckpt, tokens[:-1]), tokens[1:])
 
 
 def loglikelihood_choice(ckpt: Checkpoint, context, choices, prefix=None):
@@ -173,7 +172,8 @@ def loglikelihood_choice(ckpt: Checkpoint, context, choices, prefix=None):
 
 
 def _row_logprobs(logits: np.ndarray, targets) -> np.ndarray:
-    """log p(targets[i]) under logits row i, by ``sequence_logprobs``'s arithmetic."""
+    """log p(targets[i]) under logits row i: the one per-row reducer, for
+    ``loglikelihood_choice`` and ``sequence_logprobs`` alike."""
     return T.sum_(T.target_logprobs(logits, targets), axis=-1).numpy()
 
 

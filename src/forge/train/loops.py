@@ -2,10 +2,10 @@
 frozen reference, and group-relative policy optimization with verifiable
 rewards.
 
-All three loops share the same driver: accumulate gradients over micro
-units, clip by global norm, AdamW step, append one CSV row per optimizer
-step. The global batch of the full-scale recipe maps to accumulation x
-micro-batch on one worker here.
+All three loops share one driver, ``_run_steps``: it maps each micro unit to
+its item, adds the units' gradients in unit order, clips by global norm, takes
+an AdamW step and appends one CSV row per optimizer step. The global batch of
+the full-scale recipe maps to accumulation x micro-batch on one worker here.
 """
 
 from __future__ import annotations
@@ -22,11 +22,11 @@ from ..datapipe.chat import ChatSample, build_loss_mask, messages_from, render_c
 from ..datapipe.packing import PackedBatch
 from ..datapipe.records import read_records
 from ..decode import bucket_logits, decode, prefill
-from ..model import Checkpoint, forward, is_group
+from ..model import Checkpoint, check_token_ids, forward, is_group
 from ..rng import named_rng
 from ..tensor import Graph, Tensor
 from ..verifiers import check_truth, verify
-from .losses import GrpoGroup, PreferenceBatch, dpo_loss, dpop_loss, grpo_objective, sft_loss
+from .losses import GrpoGroup, PreferenceBatch, dpo_loss, dpop_loss, grpo_objective, kl_k3, sft_loss
 from .optim import adamw_step, clip_grad_norm, init_state
 from .schedule import ScheduleSpec, lr_at
 
@@ -110,12 +110,14 @@ def _backprop_micro(ckpt: Checkpoint, build, sums, step: int):
     return sums, val, extras
 
 
-def _run_steps(ckpt: Checkpoint, settings: TrainSettings, micro_losses, log_fields, log_path):
-    """Shared optimizer driver.
+def _run_steps(ckpt: Checkpoint, settings: TrainSettings, items, per_step: int, unit, log_fields, log_path):
+    """Shared optimizer driver, and the only code that maps a unit to its item.
 
-    micro_losses(step) yields, for every accumulation unit, a function that
-    builds (scalar loss Tensor, extras dict) under a fresh tape; extras are
-    averaged into the step row.
+    Unit j of step s calls ``unit(s, j, items[(s * per_step + j) % len(items)])``
+    while no tape records. It does the unit's tape-free work and returns a
+    function that builds (scalar loss Tensor, extras dict) under a fresh tape.
+    The units' gradients are added in unit order and averaged, and so are the
+    loss and the extras in the step row.
     """
     keep_freed_pages()
     state = init_state(ckpt.params)
@@ -124,26 +126,23 @@ def _run_steps(ckpt: Checkpoint, settings: TrainSettings, micro_losses, log_fiel
     try:
         for step in range(settings.steps):
             lr = lr_at(settings.spec, step)
-            grads = None
-            loss_sum = 0.0
-            extra_sums: dict[str, float] = {}
-            n_micro = 0
-            for build in micro_losses(step):
+            grads, loss_sum, extra_sums = None, 0.0, {}
+            for j in range(per_step):
+                build = unit(step, j, items[(step * per_step + j) % len(items)])
                 grads, val, extras = _backprop_micro(ckpt, build, grads, step)
                 loss_sum += val
                 for k, v in extras.items():
                     extra_sums[k] = extra_sums.get(k, 0.0) + v
-                n_micro += 1
             for name in grads:
-                grads[name] /= n_micro
+                grads[name] /= per_step
             try:
                 grads, norm = clip_grad_norm(grads, settings.max_grad_norm)
             except ValueError as e:  # non-finite gradient
                 raise NumericError(f"step {step}: {e}") from None
             adamw_step(ckpt.params, grads, state, lr, weight_decay=settings.weight_decay)
-            row = {"step": step, "lr": lr, "loss": loss_sum / n_micro, "grad_norm": norm}
+            row = {"step": step, "lr": lr, "loss": loss_sum / per_step, "grad_norm": norm}
             for k, v in extra_sums.items():
-                row[k] = v / n_micro
+                row[k] = v / per_step
             rows.append(row)
             writer.write(row)
     finally:
@@ -169,13 +168,9 @@ def train_sft(ckpt: Checkpoint, batches, settings: TrainSettings, log_path=None)
     """Cycle packed batches in order; one micro unit per batch."""
     if not batches:
         raise ValueError("no batches to train on")
-
-    def micro_losses(step):
-        for j in range(settings.accum):
-            batch = batches[(step * settings.accum + j) % len(batches)]
-            yield lambda b=batch: (sft_batch_loss(ckpt, b), {})
-
-    return _run_steps(ckpt, settings, micro_losses, ["step", "lr", "loss", "grad_norm"], log_path)
+    return _run_steps(ckpt, settings, batches, settings.accum,
+                      lambda step, j, batch: lambda: (sft_batch_loss(ckpt, batch), {}),
+                      ["step", "lr", "loss", "grad_norm"], log_path)
 
 
 # --- preference tuning ---
@@ -232,19 +227,28 @@ def _per_sequence(t: Tensor, counts) -> list[Tensor]:
     return [T.narrow(t, 0, int(a), n) for a, n in zip(starts, counts)]
 
 
+def _id_sequences(ckpt: Checkpoint, tokens) -> tuple[bool, list[np.ndarray]]:
+    """(tokens is a group, its sequences through ``model.check_token_ids``)."""
+    group = is_group(tokens)
+    return group, [check_token_ids(t, ckpt.config.vocab_size) for t in (tokens if group else [tokens])]
+
+
 def response_logprob(ckpt: Checkpoint, tokens, response_mask):
     """Summed log-prob of the masked tokens given everything before them.
     For a group (lists of sequences and masks, see ``model.is_group``), one
     such scalar per sequence, from one pass over the group. Differentiable
     when called under a recording tape."""
-    group = is_group(tokens)
-    seqs = [np.asarray(t, dtype=np.int64) for t in (tokens if group else [tokens])]
+    group, seqs = _id_sequences(ckpt, tokens)
     masks = [np.asarray(m, dtype=bool) for m in (response_mask if group else [response_mask])]
-    for seq, mask in zip(seqs, masks):
+    if len(masks) != len(seqs):
+        raise ValueError(f"{len(seqs)} sequences but {len(masks)} masks")
+    for i, (seq, mask) in enumerate(zip(seqs, masks)):
         if len(seq) < 2:
-            raise ValueError("sequence too short to score")
+            raise ValueError(f"sequence {i} too short to score")
+        if mask.shape != seq.shape:
+            raise ValueError(f"sequence {i}: mask of shape {mask.shape} for {len(seq)} tokens")
         if mask[0]:
-            raise ValueError("first token has no conditioning prefix")
+            raise ValueError(f"sequence {i}: first token has no conditioning prefix")
     picked, counts = _group_target_logprobs(ckpt, seqs, 1, masks)
     sums = [T.sum_(t) for t in _per_sequence(picked, counts)]
     return sums if group else sums[0]
@@ -275,24 +279,21 @@ def train_dpo(
 
     ref_scores = [tuple(lp.item() for lp in score_pair(ref_ckpt, e)) for e in encoded_pairs]
 
-    def pair_loss(enc, ref_c, ref_r):
+    def pair_loss(enc, ref):
         pc, pr = score_pair(ckpt, enc)
         batch = PreferenceBatch(
             policy_chosen=T.reshape(pc, (1,)),
             policy_rejected=T.reshape(pr, (1,)),
-            ref_chosen=np.array([ref_c], dtype=pc.dtype),
-            ref_rejected=np.array([ref_r], dtype=pr.dtype),
+            ref_chosen=np.array([ref[0]], dtype=pc.dtype),
+            ref_rejected=np.array([ref[1]], dtype=pr.dtype),
             beta=beta,
             lam_dpop=lam_dpop,
         )
         return loss_fn(batch), {}
 
-    def micro_losses(step):
-        for j in range(settings.accum):
-            k = (step * settings.accum + j) % len(encoded_pairs)
-            yield lambda k=k: pair_loss(encoded_pairs[k], *ref_scores[k])
-
-    return _run_steps(ckpt, settings, micro_losses, ["step", "lr", "loss", "grad_norm"], log_path)
+    return _run_steps(ckpt, settings, list(zip(encoded_pairs, ref_scores)), settings.accum,
+                      lambda step, j, item: lambda: pair_loss(*item),
+                      ["step", "lr", "loss", "grad_norm"], log_path)
 
 
 # --- group-relative policy optimization ---
@@ -374,8 +375,7 @@ def token_logprobs(ckpt: Checkpoint, tokens, from_pos: int):
     ``model.is_group``), one such Tensor per sequence, from one pass over
     the group. Differentiable under a recording tape; a tape-free call runs
     on ``decode``'s kernel over the whole sequences, with the same bits."""
-    group = is_group(tokens)
-    seqs = [np.asarray(t, dtype=np.int64) for t in (tokens if group else [tokens])]
+    group, seqs = _id_sequences(ckpt, tokens)
     for seq in seqs:
         if not (1 <= from_pos < len(seq)):
             raise ValueError(f"from_pos {from_pos} outside [1, {len(seq)})")
@@ -416,12 +416,14 @@ def train_grpo(
     sampling and that pass, and the taped ``forward`` computes the same bits
     as a tape-free pass over the whole rollouts on ``decode``'s kernel.
 
-    A group's rollouts share one prefill of the prompt and one named stream
-    (``grpo/step{s}/slot{k}``). ``sample_response`` reads a block of uniform
-    draws from it, one row per rollout, and samples the rollouts in lockstep
-    rounds of one batched ``decode.extend`` per token: the same rollouts as sampling them one after another. A group
-    takes one round when no rollout stops before ``max_tokens``, and one more
-    for each rollout that does and is followed by others.
+    A group is one micro unit that samples, verifies and scores the reference
+    before it builds its loss. Its rollouts share one prefill of the prompt
+    and one named stream (``grpo/step{s}/slot{k}``). ``sample_response`` reads
+    a block of uniform draws from it, one row per rollout, and samples the
+    rollouts in lockstep rounds of one batched ``decode.extend`` per token:
+    the same rollouts as sampling them one after another. A group takes one
+    round when no rollout stops before ``max_tokens``, and one more for each
+    rollout that does and is followed by others.
     """
     if not problems:
         raise ValueError("no problems to train on")
@@ -431,7 +433,7 @@ def train_grpo(
     # control tokens other than the stop are not sampleable response text
     suppress = [i for i in range(tok.base_size, tok.vocab_size) if i != stop_id]
 
-    def build_group(step: int, slot: int, problem) -> tuple:
+    def group_unit(step: int, slot: int, problem):
         prompt_ids = list(render_chat(ChatSample(list(problem["prompt"])), tok).token_ids)
         prompt_ids.append(tok.special_id("<|assistant|>"))
         rng = named_rng(seed, f"grpo/step{step}/slot{slot}")
@@ -443,37 +445,21 @@ def train_grpo(
             text = _response_text(tok, resp, stop_id)
             rewards.append(float(verify(problem["verifier"], text, problem["truth"]).reward))
             rollouts.append(prompt_ids + resp)
+        rewards = np.array(rewards)
         # reference scores are tape-free snapshots
         logp_ref = [lp.numpy() for lp in token_logprobs(ref_ckpt, rollouts, len(prompt_ids))]
-        return rollouts, len(prompt_ids), logp_ref, np.array(rewards)
 
-    def micro_losses(step):
-        for slot in range(settings.accum * prompts_per_step):
-            k = (step * settings.accum * prompts_per_step + slot) % len(problems)
-            rollouts, plen, logp_ref, rewards = build_group(step, slot, problems[k])
+        def build():
+            logp_policy = token_logprobs(ckpt, rollouts, len(prompt_ids))
+            logp_old = [lp.data for lp in logp_policy]
+            group = GrpoGroup(logp_policy=logp_policy, logp_old=logp_old, logp_ref=logp_ref, rewards=rewards,
+                              clip_eps=clip_eps, kl_coef=kl_coef, variant=variant, max_tokens=max_tokens)
+            # detached diagnostics: constants, so kl_k3 records no node
+            kl = [kl_k3(Tensor(old), ref).data for old, ref in zip(logp_old, logp_ref)]
+            extras = {"mean_reward": float(rewards.mean()), "mean_kl": float(np.mean(np.concatenate(kl)))}
+            return grpo_objective(group), extras
 
-            def build(rollouts=rollouts, plen=plen, logp_ref=logp_ref, rewards=rewards):
-                logp_policy = token_logprobs(ckpt, rollouts, plen)
-                logp_old = [lp.data for lp in logp_policy]
-                group = GrpoGroup(
-                    logp_policy=logp_policy,
-                    logp_old=logp_old,
-                    logp_ref=logp_ref,
-                    rewards=rewards,
-                    clip_eps=clip_eps,
-                    kl_coef=kl_coef,
-                    variant=variant,
-                    max_tokens=max_tokens,
-                )
-                # detached diagnostics
-                k3 = [np.exp(r - o) - (r - o) - 1.0 for r, o in zip(logp_ref, logp_old)]
-                extras = {
-                    "mean_reward": float(rewards.mean()),
-                    "mean_kl": float(np.mean(np.concatenate(k3))),
-                }
-                return grpo_objective(group), extras
-
-            yield build
+        return build
 
     fields = ["step", "lr", "loss", "grad_norm", "mean_reward", "mean_kl"]
-    return _run_steps(ckpt, settings, micro_losses, fields, log_path)
+    return _run_steps(ckpt, settings, problems, settings.accum * prompts_per_step, group_unit, fields, log_path)

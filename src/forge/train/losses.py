@@ -60,8 +60,8 @@ class PreferenceBatch:
         if self.lam_dpop < 0:
             raise ValueError(f"lam_dpop must be non-negative, got {self.lam_dpop}")
         shapes = (pc.shape, pr.shape, self.ref_chosen.shape, self.ref_rejected.shape)
-        if len(pc.shape) != 1 or len(set(shapes)) != 1:
-            raise ValueError("preference batch needs four (B,) log-prob arrays, got policy_chosen {}, "
+        if len(pc.shape) != 1 or len(set(shapes)) != 1 or not pc.shape[0]:
+            raise ValueError("preference batch needs four (B,) log-prob arrays, B >= 1, got policy_chosen {}, "
                              "policy_rejected {}, ref_chosen {}, ref_rejected {}".format(*shapes))
         if pc.dtype != pr.dtype:
             raise ValueError(f"preference batch mixes dtypes {pc.dtype.name} and {pr.dtype.name}")
@@ -178,8 +178,8 @@ class GrpoGroup:
             raise ValueError("group fields disagree on G")
         for i, lp in enumerate(self.logp_policy):
             old, ref = np.shape(self.logp_old[i]), np.shape(self.logp_ref[i])
-            if lp.ndim != 1 or old != lp.shape or ref != lp.shape:
-                raise ValueError(f"response {i}: per-token log-prob lengths differ or are not 1-D: "
+            if lp.ndim != 1 or old != lp.shape or ref != lp.shape or not lp.size:
+                raise ValueError(f"response {i}: per-token log-prob lengths differ, are 0 or are not 1-D: "
                                  f"policy {lp.shape}, old {old}, ref {ref}")
         dtypes = sorted({lp.dtype.name for lp in self.logp_policy})
         if len(dtypes) > 1:

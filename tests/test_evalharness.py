@@ -177,6 +177,13 @@ def test_choice_score_matches_manual_teacher_forcing():
     assert scores[0] == pytest.approx(lp[-len(choice):].sum(), abs=1e-12)
 
 
+@pytest.mark.parametrize("ids", [[1.5, 2.7, 3.2], [True, False, True]])
+def test_sequence_logprobs_refuses_ids_that_are_not_integers(ids):
+    # a cast to int64 would score [1, 2, 3] or [1, 0, 1]
+    with pytest.raises(ValueError, match="integers"):
+        sequence_logprobs(random_ckpt(), ids)
+
+
 def test_choice_requires_two_options_and_nonempty():
     ckpt = random_ckpt()
     with pytest.raises(ValueError):

@@ -93,6 +93,37 @@ def test_response_logprob_rejects_degenerate_masks():
         response_logprob(ckpt, [1, 2], [True, False])
 
 
+@pytest.mark.parametrize("ids", [[1.5, 2.7, 3.2], [1.0, 2.0, 3.0], [True, False, True], [1, True, 3]])
+def test_loop_scorers_refuse_ids_that_are_not_integers(ids):
+    """Float and bool ids raise, as in ``forward``; a cast would score [1, 2, 3]."""
+    ckpt = fresh_ckpt()
+    mask = [False, True, True]
+    with pytest.raises(ValueError, match="integers"):
+        token_logprobs(ckpt, ids, 1)
+    with pytest.raises(ValueError, match="integers"):
+        response_logprob(ckpt, ids, mask)
+    with pytest.raises(ValueError, match="integers"):
+        token_logprobs(ckpt, [[4, 5, 6], ids], 1)
+    with pytest.raises(ValueError, match="integers"):
+        response_logprob(ckpt, [[4, 5, 6], ids], [mask, mask])
+
+
+@pytest.mark.parametrize("tokens,masks,bad", [
+    ([1, 2, 3], [False, True], 0),  # short: scored the first two tokens
+    ([1, 2, 3], [False, True, True, True], 0),  # long: IndexError
+    ([[1, 2, 3], [4, 5, 6]], [[False, True], [False, True, True]], 0),  # short: took a row of sequence 1
+    ([[1, 2, 3], [4, 5, 6]], [[False, True, True], [False, True]], 1),
+])
+def test_response_logprob_needs_one_mask_entry_per_token(tokens, masks, bad):
+    with pytest.raises(ValueError, match=f"sequence {bad}: mask"):
+        response_logprob(fresh_ckpt(), tokens, masks)
+
+
+def test_response_logprob_needs_one_mask_per_sequence():
+    with pytest.raises(ValueError, match="2 sequences but 1 masks"):
+        response_logprob(fresh_ckpt(), [[1, 2, 3], [4, 5, 6]], [[False, True, True]])
+
+
 def test_token_logprobs_sum_to_response_logprob():
     ckpt = fresh_ckpt(dtype=np.float64)
     tokens = np.array([3, 1, 4, 1, 5, 9], dtype=np.int64)
@@ -450,6 +481,77 @@ def test_train_grpo_step_log_has_rl_columns(tmp_path):
     lines = log.read_text().strip().splitlines()
     assert lines[0] == "step,lr,loss,grad_norm,mean_reward,mean_kl"
     assert len(lines) == 2
+
+
+# --- the micro-unit schedule ---
+
+def test_run_steps_maps_each_unit_to_its_item(monkeypatch):
+    """Unit j of step s takes item (s * per_step + j) mod len(items) in every loop,
+    wrapping when a step takes more units than there are items. A GRPO unit
+    draws from its own stream ``grpo/step{s}/slot{j}``, samples and scores the
+    reference while no tape records, and only then scores the policy on its tape."""
+    from forge.train import loops
+
+    events = []
+
+    def taped():
+        return T._current_graph() is not None
+
+    def index(items, obj):
+        return next(k for k, item in enumerate(items) if item is obj)
+
+    batches = sft_batches(max_len=60)  # three batches
+    original_sft = loops.sft_batch_loss
+    monkeypatch.setattr(loops, "sft_batch_loss",
+                        lambda ckpt, batch: events.append(index(batches, batch)) or original_sft(ckpt, batch))
+    # accum 5: step 1 starts at item 2, where (s + j) or j alone would start at 1 or 0
+    train_sft(fresh_ckpt(), batches, TrainSettings(spec=constant_spec(1e-3, 2), steps=2, accum=5))
+    assert events == [0, 1, 2, 0, 1, 2, 0, 1, 2, 0]
+
+    pairs, events[:] = encoded_pairs()[:3], []
+    policy = fresh_ckpt()
+    original_score = loops.response_logprob
+
+    def scoring(ckpt, tokens, masks):
+        events.append((ckpt is policy, taped(), index([p["tokens_chosen"] for p in pairs], tokens[0])))
+        return original_score(ckpt, tokens, masks)
+
+    monkeypatch.setattr(loops, "response_logprob", scoring)
+    train_dpo(policy, clone(policy), pairs, TrainSettings(spec=constant_spec(1e-3, 2), steps=2, accum=5))
+    # the reference once per pair, tape-free; then the policy per unit, on its tape
+    assert events == [(False, False, k) for k in range(3)] + [(True, True, k) for k in [0, 1, 2, 0, 1, 2, 0, 1, 2, 0]]
+
+    problems, events[:] = load_rl_dataset(FIXTURES / "rl_math.jsonl")[:3], []
+    policy = fresh_ckpt()
+    originals = {name: getattr(loops, name) for name in ("render_chat", "named_rng", "sample_response", "token_logprobs")}
+
+    def rendering(sample, tok):
+        events.append(("item", index([p["prompt"][0] for p in problems], sample.messages[0])))
+        return originals["render_chat"](sample, tok)
+
+    def naming(seed, name):
+        events.append(("stream", name))
+        return originals["named_rng"](seed, name)
+
+    def sampling(*args, **kwargs):
+        events.append(("sample", taped()))
+        return originals["sample_response"](*args, **kwargs)
+
+    def scoring_tokens(ckpt, tokens, from_pos):
+        events.append(("policy" if ckpt is policy else "reference", taped()))
+        return originals["token_logprobs"](ckpt, tokens, from_pos)
+
+    for name, fn in (("render_chat", rendering), ("named_rng", naming), ("sample_response", sampling),
+                     ("token_logprobs", scoring_tokens)):
+        monkeypatch.setattr(loops, name, fn)
+    train_grpo(policy, clone(policy), problems, TOK, TrainSettings(spec=constant_spec(1e-3, 2), steps=2, accum=2),
+               group_size=2, max_tokens=4, seed=3, prompts_per_step=2)
+    want = []
+    for step in range(2):
+        for slot in range(4):
+            want += [("item", (step * 4 + slot) % 3), ("stream", f"grpo/step{step}/slot{slot}"),
+                     ("sample", False), ("sample", False), ("reference", False), ("policy", True)]
+    assert events == want
 
 
 # --- tape lifetime ---

@@ -366,6 +366,21 @@ def test_grpo_group_rejects_per_token_arrays_that_are_not_flat(policy, old):
                   rewards=np.array([1.0, 0.0]))
 
 
+def test_preference_batch_rejects_no_pairs():
+    # an empty batch would average over nothing and return NaN
+    with pytest.raises(ValueError, match=r"B >= 1.*\(0,\)"):
+        PreferenceBatch(policy_chosen=Tensor(np.zeros(0)), policy_rejected=Tensor(np.zeros(0)),
+                        ref_chosen=np.zeros(0), ref_rejected=np.zeros(0))
+
+
+def test_grpo_group_rejects_an_empty_response():
+    # a response without tokens would take the mean of an empty slice: NaN
+    with pytest.raises(ValueError, match=r"response 1: .*are 0"):
+        GrpoGroup(logp_policy=[Tensor(np.zeros(2)), Tensor(np.zeros(0))],
+                  logp_old=[np.zeros(2), np.zeros(0)], logp_ref=[np.zeros(2), np.zeros(0)],
+                  rewards=np.array([1.0, 0.0]))
+
+
 def test_grpo_group_rejects_mixed_dtypes():
     with pytest.raises(ValueError, match="float32, float64"):
         GrpoGroup(logp_policy=[Tensor(np.zeros(2)), Tensor(np.zeros(2, dtype=np.float32))],
