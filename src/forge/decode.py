@@ -93,7 +93,7 @@ def extend(ckpt: Checkpoint, tokens, cache: KVCache) -> np.ndarray:
         else:
             cache.keys.append(k)
             cache.values.append(v)
-        x = x + _attend(q, k, v, mask, scale, fill)[0] @ lw["attn.wo"]
+        x = x + _attend(q, k, v, mask, (), scale, fill)[0] @ lw["attn.wo"]  # one block
         h = _rms_norm(x, lw["ffn_norm.g"], eps)[0]
         x = x + _swiglu(h @ lw["ffn.w_gate"], h @ lw["ffn.w_up"]) @ lw["ffn.w_down"]
     return _rms_norm(x, p["final_norm.g"].data, eps)[0] @ p["lm_head"].data

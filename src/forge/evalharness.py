@@ -155,7 +155,7 @@ def loglikelihood_choice(ckpt: Checkpoint, context, choices, prefix=None):
     cache, keep = KVCache(keys=[], values=[]), 0
     if prefix is not None:
         head, cached = prefix
-        head = np.asarray(head, dtype=np.int64)
+        head = check_token_ids(head, vocab)
         if len(head) > len(context) or not np.array_equal(head, context[: len(head)]):
             raise ValueError("prefix tokens do not start the context")
         keep = len(head) - (len(head) == len(context))  # the last context row needs its logits

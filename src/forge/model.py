@@ -1,6 +1,9 @@
 """Decoder-only transformer: RMSNorm, SwiGLU, RoPE, grouped-query attention
 (one ``tensor.attention`` node per layer over every bucket, whose forward is
-``decode``'s kernel ``_attend``), pre-norm residuals.
+``decode``'s kernel ``_attend``), pre-norm residuals. In a row packed with
+several samples, attention's softmax and the elementwise work of its VJP run
+on each sample's diagonal block of the (T, T) scores only, and the tape keeps
+only those blocks.
 
 All functions are pure over a parameter dict. ``forward`` maps T token
 ids to a T x vocab logit matrix, or a group of sequences (a GRPO group's
@@ -230,7 +233,10 @@ def gqa_attention(
     attendable (key) positions, never a future one. Scores are scaled by
     1 / sqrt(head_size). The projections run over the whole block, and the
     rest is one ``tensor.attention`` node over every bucket, never over
-    padding or across sequences.
+    padding or across sequences. Where a mask splits into diagonal blocks
+    (packed samples), the node's softmax works on those blocks and keeps
+    only their exponentials and tie masks; its products stay full size, so
+    the bits are those of the whole (T, T) softmax.
     """
     if block is None:
         block, mask, tables = T.RowBlock([x.shape[0]]), [mask], [tables]

@@ -17,7 +17,9 @@ raise ``ShapeError``. Mixed float32/float64 operands are rejected, but
 ``max_``'s VJP divides by int64 tie counts: gradients through it are float64,
 and so are those through ``target_logprobs``, whose VJP replays that division.
 Layer ops are single nodes over numpy kernels that ``forge.decode`` calls
-too; attention, for one, is ``attention`` over ``_attend``. The loss head
+too; attention, for one, is ``attention`` over ``_attend``, whose softmax
+works on the diagonal blocks that a packed row's mask leaves (one block for
+a causal sequence and for ``decode``). The loss head
 ``target_logprobs`` is one node as well. Every other op is one the pipeline
 records or a test reference uses; ``silu`` and ``swiglu`` share the sigmoid
 kernel ``_stable_sigmoid``. ``where`` and ``concat`` are test references
@@ -735,28 +737,108 @@ def rms_norm(x: Tensor, g: Tensor, eps: float, block: RowBlock | None = None) ->
     return _make("rms_norm", out, [(x, vjp_x), (x, vjp_x), (x, vjp_x), (g, vjp_gain)])
 
 
-def _masked_softmax(scores: np.ndarray, mask, scale: float, fill: float):
+def _cuts(mask, t_len: int) -> tuple:
+    """The positions p in (0, t_len) that split a bool mask (..., t_len, t_len) into diagonal blocks
+    attending only within themselves: no row before p sees a key at or after p, and no row from p on
+    sees a key before p, for every leading index. None, or a fully masked row (whose weight spreads
+    over every key), gives none: one block."""
+    if mask is None:
+        return ()
+    rows = np.reshape(mask, (-1, t_len, t_len))
+    seen = rows.any(axis=0)
+    seen = seen | seen.T  # i and j < i linked: row i sees key j, or row j sees key i
+    first = np.minimum.accumulate(seen.argmax(axis=-1)[::-1])[::-1]  # the first position rows i.. link to
+    at = np.flatnonzero(first[1:] >= np.arange(1, t_len)) + 1
+    if not at.size or not rows.any(axis=-1).all():
+        return ()
+    return tuple(at.tolist())
+
+
+def _blocks(cuts) -> list:
+    """The diagonal blocks between ``cuts``, each as (its index in a (..., t, s) array, its rows'
+    index in a (..., t, 1) one); with no cuts, one block of every row and key, indexed by ()."""
+    if not cuts:
+        return [((), ())]
+    bounds = (0, *cuts, None)
+    return [((..., slice(a, b), slice(a, b)), (..., slice(a, b), slice(None))) for a, b in zip(bounds, bounds[1:])]
+
+
+def _scatter(blocks, parts, shape) -> np.ndarray:
+    """The blocks' parts laid out in a zero-filled array of ``shape``; a single block's part as it is."""
+    if len(parts) == 1:
+        return parts[0]
+    full = np.zeros(shape, dtype=parts[0].dtype)
+    for (at, _), part in zip(blocks, parts):
+        full[at] = part
+    return full
+
+
+def _probs(blocks, es, total, shape) -> np.ndarray:
+    """``e / total`` on each block and 0 elsewhere: the probabilities of ``_masked_softmax``."""
+    if len(es) == 1:  # one block spans every row and key
+        return es[0] / total
+    return _scatter(blocks, [e / total[rows] for (_, rows), e in zip(blocks, es)], shape)
+
+
+def _masked_softmax(scores: np.ndarray, mask, cuts, scale: float, fill: float):
     """Softmax of scores * scale over the last axis, entries outside the bool ``mask`` (None keeps
-    all) set to ``fill``; then the masked scores, their row max, exponentials and row sums."""
+    all) set to ``fill``, worked out on the diagonal blocks between ``cuts`` (``_cuts``; none is one
+    block spanning every row and key). Returns the probabilities (zero outside the blocks), the
+    blocks (``_blocks``), each block's exponentials, the row sums, and each block's masked scores
+    and row max (equal where the max ties).
+
+    The bits are those of one block: outside a block every exponential is exp(fill - max) = 0, so
+    each row sum runs over a zero-filled full row, with numpy's pairwise sums seeing the same
+    operands at the same positions. A block row whose max is not finite, or not far enough above
+    ``fill`` for exp(fill - max) to be 0, would not give those zeros, so then the whole softmax runs
+    as one block."""
     dtype = scores.dtype.type
-    s = scores * dtype(scale)
-    s = s if mask is None else np.where(mask, s, dtype(fill))
-    m = s.max(axis=-1, keepdims=True)
-    e = np.exp(s - m)
-    total = e.sum(axis=-1, keepdims=True)
-    return e / total, s, m, e, total
+    blocks, ss, ms = _blocks(cuts), [], []
+    for at, _ in blocks:
+        s = scores[at] * dtype(scale)
+        if mask is not None:  # rebinding s frees the unmasked scores before the exponentials
+            s = np.where(mask[at], s, dtype(fill))
+        ss.append(s)
+        ms.append(s.max(axis=-1, keepdims=True))
+    if cuts:  # every block row at once
+        m = np.concatenate(ms, axis=-2)
+        if not (np.isfinite(m).all() and not np.exp(np.minimum(dtype(fill) - m, 0)).any()):
+            return _masked_softmax(scores, mask, (), scale, fill)
+    es = [np.exp(s - m) for s, m in zip(ss, ms)]
+    total = _scatter(blocks, es, scores.shape).sum(axis=-1, keepdims=True)
+    return _probs(blocks, es, total, scores.shape), blocks, es, total, ss, ms
 
 
-def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask, scale: float, fill: float):
+def _masked_softmax_vjp(ga: np.ndarray, blocks, es, total, hits, mask, scale: float) -> np.ndarray:
+    """The scores' gradient from the probabilities' gradient ``ga``, given ``_masked_softmax``'s
+    blocks, exponentials, row sums and tie masks: the VJPs of the composite's softmax (division,
+    row sum, exp, and max's tie split, which divides by the int64 tie count and so promotes to
+    float64), ``where`` and scale's mul, worked out on the blocks. Outside them the gradient is 0,
+    as the composite's ``where`` makes it; each row sum runs over a zero-filled full row."""
+    dtype = es[0].dtype.type
+    gas = [ga[at] for at, _ in blocks]
+    totals = [total[rows] for _, rows in blocks]
+    sums = _unbroadcast(_scatter(blocks, [-g * e / (t * t) for g, e, t in zip(gas, es, totals)], ga.shape),
+                        total.shape)
+    gs = [(g / t + sums[rows]) * e for (_, rows), g, e, t in zip(blocks, gas, es, totals)]
+    sums = _unbroadcast(_scatter(blocks, [-g for g in gs], ga.shape), total.shape)
+    gs = [g + sums[rows] * hit / hit.sum(axis=-1, keepdims=True) for (_, rows), g, hit in zip(blocks, gs, hits)]
+    if mask is not None:
+        gs = [np.where(mask[at], g, dtype(0)) for (at, _), g in zip(blocks, gs)]
+    return _scatter(blocks, [g * dtype(scale) for g in gs], ga.shape)
+
+
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask, cuts, scale: float, fill: float):
     """Rows (B, t, nh·hs) of rotated query heads q (B, nh, t, hs) attending through ``_masked_softmax``
-    over keys and values (B, nkv, s, hs), each KV head serving nh/nkv query heads; then the grouped q,
-    transposed k and grouped v that the two products read, and the softmax's arrays."""
+    (on the blocks between ``cuts``) over keys and values (B, nkv, s, hs), each KV head serving nh/nkv
+    query heads; then the grouped q, transposed k and grouped v that the two products read, and
+    ``_masked_softmax``'s arrays. Both products run over every row and key, whatever the blocks."""
     b, nh, t_len, hs = q.shape
     nkv, s_len = k.shape[1], k.shape[2]
     q = q.reshape(b, nkv, nh // nkv, t_len, hs)
     kt = k.reshape(b, nkv, 1, s_len, hs).transpose(0, 1, 2, 4, 3)
     v = v.reshape(b, nkv, 1, s_len, hs)
-    soft = _masked_softmax(q @ kt, mask, scale, fill)
+    soft = _masked_softmax(q @ kt, mask, cuts, scale, fill)
     out = soft[0] @ v  # (b, nkv, group, t, hs)
     return out.transpose(0, 3, 1, 2, 4).reshape(b, t_len, nh * hs), q, kt, v, soft
 
@@ -766,10 +848,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, block: RowBlock, head_size: int, 
     """Grouped-query attention within each sequence of ``block``, as one node over every bucket. A
     bucket's q rows (count·t, nh·hs) and k, v rows (count·t, nkv·hs) split into heads, q and k rotated
     by its (cos, sin) in ``ropes`` unless that is None, then ``_attend`` under its bool mask in
-    ``masks``; both lists hold one entry per bucket. The VJP replays, per bucket, the VJPs of the
-    composite (head reshapes and transposes, ``rotate_pairs``, matmuls, scale's mul, ``where``,
-    ``softmax``): q's and k's parts rotate back into their dtype, v's keeps numpy's promotion. It
-    recomputes the probabilities as ``_masked_softmax`` does, ``e / total``, instead of keeping them."""
+    ``masks``, (..., t, t) or None; both lists hold one entry per bucket. Each mask's cuts
+    (``_cuts``: between the packed samples of a row, none for a causal sequence) split the softmax
+    into diagonal blocks, and the node keeps only those blocks' exponentials and tie masks, with the
+    row sums. The VJP replays, per bucket, the VJPs of the composite (head reshapes and transposes,
+    ``rotate_pairs``, matmuls, scale's mul, ``where``, ``softmax``), with the same bits for finite
+    inputs: q's and k's parts rotate back into their dtype, v's keeps numpy's promotion. It
+    recomputes the probabilities as ``_masked_softmax`` does (``_probs``) instead of keeping them,
+    runs its elementwise work on the blocks only (``_masked_softmax_vjp``), and its four products
+    over every row and key, since products over blocks would change bits."""
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     for t in (k, v):
         _check_dtypes(q, t, "attention")
@@ -782,20 +869,19 @@ def attention(q: Tensor, k: Tensor, v: Tensor, block: RowBlock, head_size: int, 
         qh, kh, vh = (t.data[at].reshape(count, t_len, -1, hs).transpose(0, 2, 1, 3) for t in (q, k, v))
         if rope is not None:
             qh, kh = _rotate_pairs(qh, *rope), _rotate_pairs(kh, *rope)
-        part, qg, kt, vg, (_, s, m, e, total) = _attend(qh, kh, vh, mask, scale, fill)
+        part, qg, kt, vg, (_, blocks, es, total, ss, ms) = _attend(qh, kh, vh, mask, _cuts(mask, t_len), scale, fill)
         out[at] = part.reshape(count * t_len, -1)
-        saved.append((qg, kt, vg, e, total, s == m))
+        saved.append((qg, kt, vg, blocks, es, total, [s == m for s, m in zip(ss, ms)]))
     grads: dict = {}
 
     def vjp(i, g):  # part i of (v, k, q), the composite's backward order; the first call computes all
         if not grads:
-            for (at, count, t_len), mask, rope, (qg, kt, vg, e, total, hit) in zip(block.buckets, masks, ropes, saved):
+            for (at, count, t_len), mask, rope, (qg, kt, vg, blocks, es, total, hits) in zip(
+                    block.buckets, masks, ropes, saved):
                 gb = g[at].reshape(count, t_len, nkv, -1, hs).transpose(0, 2, 3, 1, 4)
-                gv, ga = _unbroadcast((e / total).swapaxes(-1, -2) @ gb, vg.shape), gb @ vg.swapaxes(-1, -2)
-                gs = (ga / total + np.broadcast_to(_unbroadcast(-ga * e / (total * total), total.shape), e.shape)) * e
-                ties = hit.sum(axis=-1, keepdims=True)
-                gs = gs + np.broadcast_to(_unbroadcast(-gs, total.shape), e.shape) * hit / ties
-                gs = (gs if mask is None else np.where(mask, gs, dtype(0))) * dtype(scale)
+                probs = _probs(blocks, es, total, gb.shape[:-1] + (t_len,))
+                gv = _unbroadcast(probs.swapaxes(-1, -2) @ gb, vg.shape)
+                gs = _masked_softmax_vjp(gb @ vg.swapaxes(-1, -2), blocks, es, total, hits, mask, scale)
                 gk = _unbroadcast(qg.swapaxes(-1, -2) @ gs, kt.shape).transpose(0, 1, 2, 4, 3)
                 parts = [gv, gk, gs @ kt.swapaxes(-1, -2)]
                 if rope is not None:  # rotate_pairs' VJP, into the input dtype

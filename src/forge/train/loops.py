@@ -94,15 +94,28 @@ def keep_freed_pages() -> None:
 
 def _backprop_micro(ckpt: Checkpoint, build, sums, step: int):
     """Build one micro unit's loss on its own tape, backpropagate, and add the
-    parameter gradients into ``sums``, made here on the first call. Returns
-    (sums, loss value, extras); the tape dies on return."""
+    parameter gradients into ``sums``. Returns (sums, loss value, extras); the
+    tape dies on return. On the first call (``sums`` None) the unit's
+    gradients become the sums, cast to the parameter dtype, and only a
+    parameter the loss does not reach gets zeros: no second set of
+    parameter-sized arrays is made. A gradient that is a view, or the array
+    already taken for another parameter, is copied, so no two sums share
+    memory."""
     with Graph() as g:
         loss, extras = build()
         val = float(loss.data)
         _check_finite(val, step, "loss")
         g.backward(loss)
     if sums is None:
-        sums = {n: np.zeros_like(p.data) for n, p in ckpt.params.items()}
+        sums, taken = {}, set()
+        for name, p in ckpt.params.items():
+            grad = g.grad(p)
+            if grad is None:
+                sums[name] = np.zeros_like(p.data)
+            else:
+                sums[name] = grad.astype(p.data.dtype, copy=grad.base is not None or id(grad) in taken)
+                taken.add(id(grad))
+        return sums, val, extras
     for name, p in ckpt.params.items():
         grad = g.grad(p)
         if grad is not None:

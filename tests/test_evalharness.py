@@ -124,6 +124,14 @@ def test_prefix_must_start_the_context():
         loglikelihood_choice(ckpt, [1], [[5], [6]], prefix)
 
 
+@pytest.mark.parametrize("head", [[1.7, 2.2], [1.0, 2.0], [True, 2]])
+def test_prefix_tokens_must_be_integers(head):
+    # a cast would truncate these to [1, 2] and score them as that prefix
+    ckpt = random_ckpt()
+    with pytest.raises(ValueError, match="integers"):
+        loglikelihood_choice(ckpt, [1, 2, 3], [[4], [5]], (head, prefill(ckpt, [1, 2])[1]))
+
+
 def test_run_task_prefills_the_exemplar_block_once(monkeypatch):
     calls, real = [], evalharness.prefill
 

@@ -554,6 +554,43 @@ def test_run_steps_maps_each_unit_to_its_item(monkeypatch):
     assert events == want
 
 
+@pytest.mark.parametrize("accum", [1, 3])
+def test_run_steps_sums_the_units_gradients_in_unit_order(monkeypatch, accum):
+    """A step's sums are the first unit's gradients cast to the parameter dtype,
+    with each later unit's added in unit order, then divided by the unit count:
+    byte for byte, the sign of a zero included. A parameter no loss reaches
+    gets zeros, and no two sums share memory."""
+    from forge.train import loops
+
+    batches, ckpt = sft_batches(max_len=60), fresh_ckpt()
+    ckpt.params["unreached"] = T.Tensor(np.ones(3, dtype=np.float32))
+    want = {}
+    for batch in batches[:accum]:
+        with T.Graph() as g:
+            loss = sft_batch_loss(ckpt, batch)
+        g.backward(loss)
+        for name, p in ckpt.params.items():
+            grad = g.grad(p)
+            if name not in want:
+                want[name] = np.zeros_like(p.data) if grad is None else grad.astype(p.data.dtype)
+            elif grad is not None:
+                want[name] += grad
+    seen, clip = {}, loops.clip_grad_norm
+
+    def recording(grads, max_norm):
+        arrays = list(grads.values())
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
+        seen.update((name, x.copy()) for name, x in grads.items())
+        return clip(grads, max_norm)
+
+    monkeypatch.setattr(loops, "clip_grad_norm", recording)
+    train_sft(ckpt, batches, TrainSettings(spec=constant_spec(1e-3, 1), steps=1, accum=accum))
+    assert seen.keys() == want.keys()
+    for name, x in want.items():
+        assert seen[name].dtype == x.dtype and seen[name].tobytes() == (x / accum).tobytes(), name
+    assert not seen["unreached"].any()
+
+
 # --- tape lifetime ---
 
 def test_training_keeps_one_tape_alive_at_a_time(monkeypatch):

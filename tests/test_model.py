@@ -229,6 +229,19 @@ def test_one_layer_tape_keeps_no_attention_probabilities():
     assert kept <= scores * 4 + scores + 768 * 1024  # float32 exponentials, bool tie mask, slack
 
 
+def test_packed_row_tape_keeps_only_its_samples_blocks():
+    """A 256-token row packed with 4 samples of 64 tokens keeps the
+    exponentials and tie mask of its 4 diagonal blocks, a quarter of the
+    (heads, T, T) arrays: outside them every probability is 0."""
+    cfg = toy_config(n_layers=1, d_model=32, n_heads=4, n_kv_heads=2, head_size=8, d_ff=64,
+                     vocab_size=64, native_ctx=512, extended_ctx=2048)
+    ckpt, t_len, seg = init_params(cfg, named_rng(0, "tape")), 256, 64
+    blocks = cfg.n_heads * (t_len // seg) * seg * seg
+    kept = tape_bytes(lambda: forward(ckpt, np.arange(t_len) % cfg.vocab_size, np.arange(t_len) // seg,
+                                      np.arange(t_len) % seg))
+    assert kept <= blocks * 4 + blocks + 768 * 1024  # float32 exponentials, bool tie mask, slack
+
+
 def test_swiglu_tape_keeps_its_inputs_only():
     a, b = (Tensor(np.full((256, 1024), x, dtype=np.float32), requires_grad=True) for x in (0.5, 2.0))
     out_bytes = a.data.nbytes

@@ -623,6 +623,66 @@ def test_attention_needs_one_mask_and_rope_per_bucket():
             T.attention(q, k, v, block, 4, *short, 0.35, -1e9)
 
 
+@st.composite
+def packed_attention_cases(draw):
+    """A bucket of one or two sequences of t rows, each packed with samples
+    that start at a shared set of cuts plus its own (segments of one token
+    and cuts anywhere, so only the common cuts split the bucket), under a
+    causal or a bidirectional segment mask, perhaps with one fully masked
+    row; integer heads (tied scores) or real ones; the dtype's fill or one
+    near or above the scores; then a seed."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    t_len = draw(st.integers(1, 21))
+    starts = st.sets(st.integers(1, t_len - 1), max_size=6) if t_len > 1 else st.just(set())
+    shared = draw(starts)
+    layouts = [shared | draw(starts) for _ in range(draw(st.integers(1, 2)))]
+    blank = draw(st.none() | st.tuples(st.integers(0, len(layouts) - 1), st.integers(0, t_len - 1)))
+    fill = draw(st.sampled_from([-1e9 if dtype == np.float32 else -1e30, -2.0, 0.0, 100.0]))
+    return dtype, t_len, layouts, draw(st.booleans()), blank, draw(st.booleans()), fill, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_attention_cases())
+def test_attention_on_packed_masks_keeps_the_composites_bytes(case):
+    """Output and q, k, v gradients equal ``attention_reference``'s byte for
+    byte, the sign of a zero included, whether the softmax runs on the
+    blocks between the common cuts or as one block: with a fully masked row
+    (whose weight spreads over every key), or with a fill close enough to a
+    row's max, or above it, that the masked keys outside its block would not
+    weigh exactly 0. Zeroed rows of the upstream gradient give signed zeros."""
+    dtype, t_len, layouts, causal, blank, integer, fill, seed = case
+    rng = np.random.default_rng(seed)
+    segments = [np.searchsorted(sorted(starts), np.arange(t_len), side="right") for starts in layouts]
+    mask = np.stack([seg[:, None] == seg[None, :] for seg in segments])
+    if causal:
+        mask &= np.tril(np.ones((t_len, t_len), dtype=bool))
+    if blank is not None:
+        mask[blank] = False
+    cuts = set.intersection(*layouts) if blank is None else set()
+    assert T._cuts(mask[:, None, None], t_len) == tuple(sorted(cuts))
+    count = len(layouts)
+    tables = [quarter_turns(rng, (t_len, 2), dtype) if integer else rotation_tables(rng, t_len, 2, dtype)
+              for _ in range(count)]
+    rope = tuple(np.stack(part)[:, None] for part in zip(*tables))  # (count, 1, t, 2) each
+    heads = [(rng.integers(-2, 3, (count * t_len, width)) if integer else
+              rng.standard_normal((count * t_len, width))).astype(dtype) for width in (16, 8, 8)]
+    w = rng.standard_normal((count * t_len, 16)).astype(dtype) * (rng.random((count * t_len, 1)) < 0.7)
+
+    def run(fn):
+        xs = [Tensor(a.copy(), requires_grad=True) for a in heads]
+        with Graph() as g:
+            y = fn(*xs)
+            loss = (y * w).sum()
+        g.backward(loss)
+        return [y.data] + [g.grad(x) for x in xs]
+
+    got = run(lambda q, k, v: T.attention(q, k, v, T.RowBlock([t_len] * count), 4, [mask[:, None, None]], [rope],
+                                          0.35, fill))
+    want = run(lambda q, k, v: attention_reference(q, k, v, count, 4, mask[:, None, None], rope, 0.35, fill))
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 # a log_softmax head sends back float64 gradients for float32 inputs, since
 # max_'s VJP divides by an int64 tie count; a linear head keeps float32
 @pytest.mark.parametrize("dtype,head", [(np.float32, "log_softmax"), (np.float32, "linear"),

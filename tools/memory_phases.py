@@ -3,17 +3,20 @@
 Trains a desk-shape model (d_model 256, 4 layers, vocabulary 2048) on one
 packed 256-token row for 2 steps through ``train_sft``, the training loop the
 CLI runs. After each phase of each step it prints the tracemalloc current
-and peak MiB (the peak since the previous phase) and the minor page faults
-that ``resource.getrusage`` counts in that phase. The phases end where these
-calls return: the forward (``sft_batch_loss``), the backward
-(``Graph.backward``), the gradient sums with clipping (``clip_grad_norm``)
-and the AdamW update (``adamw_step``).
+and peak MiB (the peak since the previous phase), the minor page faults
+that ``resource.getrusage`` counts in that phase, and the process's peak
+resident set so far (``ru_maxrss`` in MB, as perfbench's ``peak_rss_mb``).
+The phases end where these calls return: the forward (``sft_batch_loss``),
+the backward (``Graph.backward``), the gradient sums with clipping
+(``clip_grad_norm``) and the AdamW update (``adamw_step``).
 
     PYTHONPATH=src python tools/memory_phases.py
 
 Not part of the test suite. tracemalloc sees numpy's buffers and Python's
 objects, not the allocator's free pages, so the fault counts show what
-glibc gave back between steps and had to fault in again.
+glibc gave back between steps and had to fault in again, and the peak RSS
+column is the quantity the benchmark reports: tracemalloc alone can rank
+two variants the other way.
 """
 
 from __future__ import annotations
@@ -59,9 +62,11 @@ class PhaseLog:
 
     def mark(self, phase: str) -> None:
         current, peak = tracemalloc.get_traced_memory()
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        usage = resource.getrusage(resource.RUSAGE_SELF)
+        faults = usage.ru_minflt
         print(f"step {self.step}  {phase:<9}  current {current / MIB:7.1f} MiB  "
-              f"peak {peak / MIB:7.1f} MiB  minor faults {faults - self.faults:6d}")
+              f"peak {peak / MIB:7.1f} MiB  minor faults {faults - self.faults:6d}  "
+              f"peak RSS {usage.ru_maxrss / 1024.0:6.1f} MB")
         tracemalloc.reset_peak()
         self.faults = faults
         if phase == "adamw":
