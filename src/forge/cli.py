@@ -57,7 +57,7 @@ from .train.loops import (
     train_sft,
 )
 from .train.schedule import DPO_SCHEDULE, RL_SCHEDULE, SFT_SCHEDULE, ScheduleSpec
-from .upscale import UpscaleSpec, depth_upscale, merge_checkpoints
+from .upscale import UpscaleSpec, depth_upscale, merge_checkpoints, merge_weights
 from .verifiers import score_corpus
 
 
@@ -470,8 +470,13 @@ def cmd_upscale(ctx: RunContext) -> None:
 
 
 def cmd_merge(ctx: RunContext) -> None:
-    ckpts = [_load_ckpt(ctx.inp(p)) for p in ctx.cfg["checkpoints"]]
-    merged = merge_checkpoints(ckpts, ctx.cfg["weights"] or [1.0] * len(ckpts))
+    paths = ctx.cfg["checkpoints"]
+    try:
+        weights = merge_weights(ctx.cfg["weights"] or [1.0] * len(paths), len(paths))
+    except ValueError as e:
+        raise ConfigError(f"weights: {e}") from None
+    ckpts = [_load_ckpt(ctx.inp(p)) for p in paths]
+    merged = merge_checkpoints(ckpts, weights)
     save_checkpoint(merged, ctx.out(ctx.cfg["output"]))
     print(f"merged {len(ckpts)} checkpoints")
 

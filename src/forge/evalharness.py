@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -105,21 +105,7 @@ class EvalReport:
     average: float
 
     def to_json(self) -> str:
-        payload = {
-            "step": self.step,
-            "average": self.average,
-            "tasks": [
-                {
-                    "name": s.name,
-                    "mode": s.mode,
-                    "metric": s.metric,
-                    "n_shot": s.n_shot,
-                    "raw": s.raw,
-                    "normalized": s.normalized,
-                }
-                for s in self.scores
-            ],
-        }
+        payload = {"step": self.step, "average": self.average, "tasks": [asdict(s) for s in self.scores]}
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -136,7 +122,8 @@ def loglikelihood_choice(ckpt: Checkpoint, context, choices, prefix=None):
     of each choice behind the shared context, ties going to the lowest index.
 
     ``prefix`` is ``(tokens, cache)`` for tokens that start ``context`` and
-    their ``decode.prefill`` cache, e.g. a task's exemplar block; a copy of
+    their ``decode.prefill`` cache, which holds exactly those tokens' positions
+    (ValueError otherwise), e.g. a task's exemplar block; a copy of
     it is extended by the rest of the context. ``decode.bucket_logits`` runs
     the choices behind the context's cache, and each bucket's choice tokens
     go through ``target_logprobs`` as in ``sequence_logprobs``. Scores agree
@@ -158,6 +145,8 @@ def loglikelihood_choice(ckpt: Checkpoint, context, choices, prefix=None):
         head = check_token_ids(head, vocab)
         if len(head) > len(context) or not np.array_equal(head, context[: len(head)]):
             raise ValueError("prefix tokens do not start the context")
+        if cached.length != len(head):
+            raise ValueError(f"prefix cache holds {cached.length} positions for {len(head)} tokens")
         keep = len(head) - (len(head) == len(context))  # the last context row needs its logits
         cache = cached.trim(keep)
     last = extend(ckpt, context[None, keep:], cache)[0, -1:]

@@ -51,9 +51,13 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("n_layers", "d_model", "n_heads", "n_kv_heads", "head_size", "d_ff", "vocab_size",
-                     "native_ctx"):
+                     "native_ctx", "extended_ctx"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if not (math.isfinite(self.rope_theta) and self.rope_theta > 0):
+            raise ValueError(f"rope_theta must be finite and > 0, got {self.rope_theta}")
+        if not (math.isfinite(self.rmsnorm_eps) and self.rmsnorm_eps >= 0):
+            raise ValueError(f"rmsnorm_eps must be finite and >= 0, got {self.rmsnorm_eps}")
         if self.n_heads % self.n_kv_heads != 0:
             raise ValueError(
                 f"n_heads ({self.n_heads}) must be divisible by n_kv_heads ({self.n_kv_heads})"

@@ -3,9 +3,11 @@
 Values are numpy buffers (float32 for training fixtures, float64 for
 gradient checks). Recording happens only inside an active ``Graph``
 context; outside of one, operations compute plain values and keep no
-history. A graph is single-use: ``backward`` releases the tape as it
-runs, so it runs once. Leaf gradients, and those of intermediates the
-caller still holds, stay readable through ``grad``.
+history. Each recorded op is one tape node holding one VJP, which
+``backward`` calls once to get one gradient contribution per input the
+node lists (``_make``). A graph is single-use: ``backward`` releases the
+tape as it runs, so it runs once. Leaf gradients, and those of
+intermediates the caller still holds, stay readable through ``grad``.
 
     with Graph() as g:
         y = (x * x).sum()
@@ -28,7 +30,7 @@ only, since the loss heads that recorded them became single nodes.
 
 from __future__ import annotations
 
-import functools
+import operator
 import weakref
 
 import numpy as np
@@ -50,13 +52,16 @@ def _current_graph() -> "Graph | None":
 
 
 class _Node:
-    __slots__ = ("op", "input_ids", "vjps", "out")
+    """One tape entry: ``vjp(grad_out)`` returns or yields one gradient contribution per id in
+    ``input_ids``, in that order; id -1 marks an input that needs none. A leaf has no inputs and
+    no VJP."""
 
-    def __init__(self, op, input_ids, vjps, out):
+    __slots__ = ("op", "input_ids", "vjp", "out")
+
+    def __init__(self, op, input_ids, vjp, out):
         self.op = op
         self.input_ids = input_ids
-        # vjps: list of (input node id, fn(grad_out) -> grad contribution)
-        self.vjps = vjps
+        self.vjp = vjp
         self.out = out  # weak reference to the recorded output; None for a leaf
 
 
@@ -64,8 +69,9 @@ class Graph:
     """Append-only tape of operations plus a gradient store keyed by node id.
 
     Node inputs always precede the node itself, so reverse append order is a valid
-    reverse-topological order for backpropagation. A node may list one input
-    several times, and backward adds a node's entries in list order.
+    reverse-topological order for backpropagation. Each node holds one VJP, which
+    backward calls once; a node may list one input several times, and backward adds
+    its contributions in list order, dropping those of inputs listed as -1.
     """
 
     def __init__(self):
@@ -89,7 +95,7 @@ class Graph:
         nid = self._leaf_ids.get(id(t))
         if nid is None:
             nid = len(self.nodes)
-            self.nodes.append(_Node("leaf", (), (), None))
+            self.nodes.append(_Node("leaf", (), None, None))
             self._leaf_ids[id(t)] = nid
             self._leaf_refs.append(t)
         return nid
@@ -102,16 +108,16 @@ class Graph:
             raise GraphError("tensor belongs to a different graph")
         return t.node_id
 
-    def _record(self, op: str, out: "Tensor", vjps) -> None:
+    def _record(self, op: str, out: "Tensor", input_ids: tuple, vjp) -> None:
         nid = len(self.nodes)
-        self.nodes.append(_Node(op, tuple(i for i, _ in vjps), list(vjps), weakref.ref(out)))
+        self.nodes.append(_Node(op, input_ids, vjp, weakref.ref(out)))
         out.graph = self
         out.node_id = nid
         out.requires_grad = True
 
     def backward(self, seed: "Tensor") -> dict[int, np.ndarray]:
         """Reverse-accumulate gradients from a scalar seed node, releasing the
-        tape as it goes: every node's VJPs are dropped as they run, and so is
+        tape as it goes: every node's VJP is dropped as it runs, and so is
         each gradient but a leaf's or one a live Tensor still names.
 
         Returns the gradient store. Raises if the seed is non-scalar, not
@@ -128,12 +134,13 @@ class Graph:
         grads[seed.node_id] = np.ones_like(seed.data)
         for nid in range(len(self.nodes) - 1, -1, -1):
             node = self.nodes[nid]
-            vjps, node.vjps = node.vjps, ()  # the VJPs hold the activations
+            vjp, node.vjp = node.vjp, None  # the VJP holds the activations
             g = grads.get(nid) if node.out is None or node.out() is not None else grads.pop(nid, None)
-            if g is None:
+            if g is None or vjp is None:  # unreached, or a leaf
                 continue
-            for input_id, vjp in vjps:
-                contrib = vjp(g)
+            for input_id, contrib in zip(node.input_ids, vjp(g)):
+                if input_id < 0:
+                    continue
                 acc = grads.get(input_id)
                 grads[input_id] = contrib if acc is None else acc + contrib
         return grads
@@ -295,107 +302,91 @@ def _check_dtypes(a: Tensor, b: Tensor, op: str) -> None:
         )
 
 
-def _make(op: str, out_data: np.ndarray, parts) -> Tensor:
+def _make(op: str, out_data: np.ndarray, inputs, vjp) -> Tensor:
     """Build the result tensor, recording a tape node when gradients flow.
 
-    ``parts`` is a list of (input tensor, vjp fn) pairs; entries whose
-    tensor does not require grad are dropped from the tape.
+    ``vjp(grad_out)`` returns or yields one gradient contribution per tensor
+    in ``inputs``, in that order; a tensor may be listed several times, and
+    backward adds its contributions in list order. It is called once, so it
+    may compute what several contributions share. The node is recorded when
+    some input requires grad; the others are listed with id -1, and backward
+    drops their contributions.
+
+    A VJP that yields keeps its frame alive while backward adds each part it
+    yielded, so it drops every array before a ``yield`` once no later part
+    needs it.
     """
     out = Tensor(out_data)
     graph = _current_graph()
-    if graph is None:
-        return out
-    vjps = []
-    for t, vjp in parts:
-        if t.requires_grad:
-            vjps.append((graph._node_id(t), vjp))
-    if vjps:
-        graph._record(op, out, vjps)
+    if graph is not None and any(t.requires_grad for t in inputs):
+        graph._record(op, out, tuple(graph._node_id(t) if t.requires_grad else -1 for t in inputs), vjp)
     return out
+
+
+def _operands(op: str, fn, a, b, *, cond=None):
+    """``a`` and ``b`` as tensors of one dtype (an array or number takes the
+    other operand's) and ``fn`` on their data, after ``cond`` if given; an
+    operand dtype mismatch or shapes that do not broadcast raise ``ShapeError``."""
+    a = _as_tensor(a, b if isinstance(b, Tensor) else None)
+    b = _as_tensor(b, a)
+    _check_dtypes(a, b, op)
+    try:
+        out = fn(a.data, b.data) if cond is None else fn(cond, a.data, b.data)
+    except ValueError:
+        shapes = f"{a.shape} and {b.shape}" if cond is None else f"{cond.shape}, {a.shape}, {b.shape}"
+        raise ShapeError(f"{op}: shapes {shapes} do not broadcast") from None
+    return a, b, out
 
 
 # -- element-wise primitives ------------------------------------------------
 
 
 def add(a, b) -> Tensor:
-    a = _as_tensor(a, b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, a)
-    _check_dtypes(a, b, "add")
-    try:
-        out = a.data + b.data
-    except ValueError:
-        raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast") from None
-    return _make("add", out, [
-        (a, lambda g, sa=a.shape: _unbroadcast(g, sa)),
-        (b, lambda g, sb=b.shape: _unbroadcast(g, sb)),
-    ])
+    a, b, out = _operands("add", operator.add, a, b)
+    sa, sb = a.shape, b.shape
+    return _make("add", out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def sub(a, b) -> Tensor:
-    a = _as_tensor(a, b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, a)
-    _check_dtypes(a, b, "sub")
-    try:
-        out = a.data - b.data
-    except ValueError:
-        raise ShapeError(f"sub: shapes {a.shape} and {b.shape} do not broadcast") from None
-    return _make("sub", out, [
-        (a, lambda g, sa=a.shape: _unbroadcast(g, sa)),
-        (b, lambda g, sb=b.shape: _unbroadcast(-g, sb)),
-    ])
+    a, b, out = _operands("sub", operator.sub, a, b)
+    sa, sb = a.shape, b.shape
+    return _make("sub", out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
 
 
 def mul(a, b) -> Tensor:
-    a = _as_tensor(a, b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, a)
-    _check_dtypes(a, b, "mul")
-    try:
-        out = a.data * b.data
-    except ValueError:
-        raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from None
+    a, b, out = _operands("mul", operator.mul, a, b)
     ad, bd = a.data, b.data
-    return _make("mul", out, [
-        (a, lambda g: _unbroadcast(g * bd, ad.shape)),
-        (b, lambda g: _unbroadcast(g * ad, bd.shape)),
-    ])
+    return _make("mul", out, (a, b), lambda g: (_unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)))
 
 
 def div(a, b) -> Tensor:
-    a = _as_tensor(a, b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, a)
-    _check_dtypes(a, b, "div")
-    try:
-        out = a.data / b.data
-    except ValueError:
-        raise ShapeError(f"div: shapes {a.shape} and {b.shape} do not broadcast") from None
+    a, b, out = _operands("div", operator.truediv, a, b)
     ad, bd = a.data, b.data
-    return _make("div", out, [
-        (a, lambda g: _unbroadcast(g / bd, ad.shape)),
-        (b, lambda g: _unbroadcast(-g * ad / (bd * bd), bd.shape)),
-    ])
+    return _make("div", out, (a, b),
+                 lambda g: (_unbroadcast(g / bd, ad.shape), _unbroadcast(-g * ad / (bd * bd), bd.shape)))
 
 
 def neg(a: Tensor) -> Tensor:
     a = _as_tensor(a)
-    return _make("neg", -a.data, [(a, lambda g: -g)])
+    return _make("neg", -a.data, (a,), lambda g: (-g,))
 
 
 def exp(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     out = np.exp(a.data)
-    return _make("exp", out, [(a, lambda g: g * out)])
+    return _make("exp", out, (a,), lambda g: (g * out,))
 
 
 def log(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     ad = a.data
-    return _make("log", np.log(ad), [(a, lambda g: g / ad)])
+    return _make("log", np.log(ad), (a,), lambda g: (g / ad,))
 
 
 def sqrt(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     out = np.sqrt(a.data)
-    return _make("sqrt", out, [(a, lambda g: g * 0.5 / out)])
+    return _make("sqrt", out, (a,), lambda g: (g * 0.5 / out,))
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -412,28 +403,19 @@ def silu(a: Tensor) -> Tensor:
     ad = a.data
     sig = _stable_sigmoid(ad)
     out = ad * sig
-    return _make("silu", out, [(a, lambda g: g * (sig * (1.0 + ad * (1.0 - sig))))])
+    return _make("silu", out, (a,), lambda g: (g * (sig * (1.0 + ad * (1.0 - sig))),))
 
 
 def where(cond, a, b) -> Tensor:
     """Element-wise select; ``cond`` is a boolean mask (no gradient flows to it)."""
     mask = cond.data if isinstance(cond, Tensor) else np.asarray(cond)
     mask = mask.astype(bool)
-    a = _as_tensor(a, b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, a)
-    _check_dtypes(a, b, "where")
-    try:
-        out = np.where(mask, a.data, b.data)
-    except ValueError:
-        raise ShapeError(
-            f"where: shapes {mask.shape}, {a.shape}, {b.shape} do not broadcast"
-        ) from None
+    a, b, out = _operands("where", np.where, a, b, cond=mask)
     zero = out.dtype.type(0)
     # capture shapes, not a and b: a recorded Tensor holds its Graph, which holds this
-    return _make("where", out, [
-        (a, lambda g, sa=a.shape: _unbroadcast(np.where(mask, g, zero), sa)),
-        (b, lambda g, sb=b.shape: _unbroadcast(np.where(mask, zero, g), sb)),
-    ])
+    sa, sb = a.shape, b.shape
+    return _make("where", out, (a, b),
+                 lambda g: (_unbroadcast(np.where(mask, g, zero), sa), _unbroadcast(np.where(mask, zero, g), sb)))
 
 
 # -- reductions --------------------------------------------------------------
@@ -452,9 +434,7 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     _check_axis(a, axis, "sum")
     out = a.data.sum(axis=axis, keepdims=keepdims)
     shape = a.shape
-    return _make("sum", out, [
-        (a, lambda g: _expand_reduced(g, shape, axis, keepdims).copy()),
-    ])
+    return _make("sum", out, (a,), lambda g: (_expand_reduced(g, shape, axis, keepdims).copy(),))
 
 
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -463,9 +443,7 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = a.data.mean(axis=axis, keepdims=keepdims)
     count = a.data.size if axis is None else a.shape[axis]
     shape = a.shape
-    return _make("mean", out, [
-        (a, lambda g: _expand_reduced(g, shape, axis, keepdims) / count),
-    ])
+    return _make("mean", out, (a,), lambda g: (_expand_reduced(g, shape, axis, keepdims) / count,))
 
 
 def max_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -479,9 +457,9 @@ def max_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         full = out if (axis is None or keepdims) else np.expand_dims(out, axis)
         hit = (ad == full)
         ties = hit.sum(axis=axis, keepdims=True) if axis is not None else hit.sum()
-        return _expand_reduced(g, shape, axis, keepdims) * hit / ties
+        return (_expand_reduced(g, shape, axis, keepdims) * hit / ties,)
 
-    return _make("max", out, [(a, vjp)])
+    return _make("max", out, (a,), vjp)
 
 
 def _check_axis(a: Tensor, axis, op: str) -> None:
@@ -506,10 +484,8 @@ def matmul(a, b) -> Tensor:
     except ValueError:
         raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not conform") from None
     ad, bd = a.data, b.data
-    return _make("matmul", out, [
-        (a, lambda g: _unbroadcast(g @ bd.swapaxes(-1, -2), ad.shape)),
-        (b, lambda g: _unbroadcast(ad.swapaxes(-1, -2) @ g, bd.shape)),
-    ])
+    return _make("matmul", out, (a, b), lambda g: (_unbroadcast(g @ bd.swapaxes(-1, -2), ad.shape),
+                                                   _unbroadcast(ad.swapaxes(-1, -2) @ g, bd.shape)))
 
 
 def transpose(a: Tensor, axes=None) -> Tensor:
@@ -517,9 +493,7 @@ def transpose(a: Tensor, axes=None) -> Tensor:
     if axes is None:
         axes = tuple(reversed(range(a.ndim)))
     inverse = tuple(np.argsort(axes))
-    return _make("transpose", a.data.transpose(axes), [
-        (a, lambda g: g.transpose(inverse)),
-    ])
+    return _make("transpose", a.data.transpose(axes), (a,), lambda g: (g.transpose(inverse),))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -529,7 +503,7 @@ def reshape(a: Tensor, shape) -> Tensor:
         out = a.data.reshape(shape)
     except ValueError:
         raise ShapeError(f"reshape: cannot view {old} as {shape}") from None
-    return _make("reshape", out, [(a, lambda g: g.reshape(old))])
+    return _make("reshape", out, (a,), lambda g: (g.reshape(old),))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -544,19 +518,15 @@ def concat(tensors, axis: int = 0) -> Tensor:
         raise ShapeError(
             f"concat: shapes {[t.shape for t in tensors]} do not align on axis {axis}"
         ) from None
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-    parts = []
-    for i, t in enumerate(tensors):
-        lo, hi = offsets[i], offsets[i + 1]
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
 
-        def vjp(g, lo=lo, hi=hi):
-            idx = [slice(None)] * g.ndim
+    def vjp(g):
+        idx = [slice(None)] * g.ndim
+        for lo, hi in zip(offsets[:-1], offsets[1:]):
             idx[axis] = slice(lo, hi)
-            return g[tuple(idx)]
+            yield g[tuple(idx)]
 
-        parts.append((t, vjp))
-    return _make("concat", out, parts)
+    return _make("concat", out, tensors, vjp)
 
 
 def slice_(a: Tensor, key) -> Tensor:
@@ -569,9 +539,9 @@ def slice_(a: Tensor, key) -> Tensor:
     def vjp(g):
         full = np.zeros(shape, dtype=dtype)
         full[key] = g
-        return full
+        return (full,)
 
-    return _make("slice", out, [(a, vjp)])
+    return _make("slice", out, (a,), vjp)
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -597,9 +567,8 @@ def rotate_pairs(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     back (-sin) into x's dtype, and closes over no Tensor."""
     x = _as_tensor(x)
     dtype, neg_sin = x.data.dtype, -sin
-    return _make("rotate_pairs", _rotate_pairs(x.data, cos, sin), [
-        (x, lambda g: _rotate_pairs(g, cos, neg_sin, dtype)),
-    ])
+    return _make("rotate_pairs", _rotate_pairs(x.data, cos, sin), (x,),
+                 lambda g: (_rotate_pairs(g, cos, neg_sin, dtype),))
 
 
 # -- groups of sequences in one block of rows ------------------------------------
@@ -670,10 +639,12 @@ def block_matmul(x: Tensor, w: Tensor, block: RowBlock | None = None) -> Tensor:
         raise ShapeError(f"block_matmul: shapes {x.shape} and {w.shape} do not conform")
     block = block or RowBlock([x.shape[0]])
     xd, wd = x.data, w.data
-    return _make("block_matmul", _per_bucket(block, xd, lambda xb: xb @ wd), [
-        (x, lambda g: _per_bucket(block, g, lambda gb: gb @ wd.swapaxes(-1, -2))),
-        (w, lambda g: _fold_spans(block, lambda a, b: xd[a:b].swapaxes(-1, -2) @ g[a:b])),
-    ])
+
+    def vjp(g):
+        yield _per_bucket(block, g, lambda gb: gb @ wd.swapaxes(-1, -2))
+        yield _fold_spans(block, lambda a, b: xd[a:b].swapaxes(-1, -2) @ g[a:b])
+
+    return _make("block_matmul", _per_bucket(block, xd, lambda xb: xb @ wd), (x, w), vjp)
 
 
 def embedding(weight: Tensor, ids, block: RowBlock | None = None) -> Tensor:
@@ -695,9 +666,9 @@ def embedding(weight: Tensor, ids, block: RowBlock | None = None) -> Tensor:
             np.add.at(full, ids[a:b], g[a:b])
             return full
 
-        return _fold_spans(block, scatter)
+        return (_fold_spans(block, scatter),)
 
-    return _make("embedding", out, [(weight, vjp)])
+    return _make("embedding", out, (weight,), vjp)
 
 
 # -- layer primitives: one node per op, over a numpy kernel that forge.decode calls.
@@ -720,21 +691,19 @@ def rms_norm(x: Tensor, g: Tensor, eps: float, block: RowBlock | None = None) ->
     xd, gd = x.data, g.data
     out, r = _rms_norm(xd, gd, eps)
     block = block or RowBlock([1 if xd.ndim == 1 else len(xd)])
-    parts: list = []
 
-    def vjp_x(go):  # x's parts, computed once: the division's, then the square's two
-        if not parts:
-            gy = go * gd
-            gr = _unbroadcast(-gy * xd / (r * r), r.shape)
-            sq = np.broadcast_to(gr * 0.5 / r, xd.shape) / xd.shape[-1] * xd
-            parts.extend([sq, sq, gy / r])
-        return parts.pop()
-
-    def vjp_gain(go):
+    def vjp(go):  # x's three parts (the division's, then the square's two), then the gain's
+        gy = go * gd
+        yield gy / r
+        gr = _unbroadcast(-gy * xd / (r * r), r.shape)
+        sq = np.broadcast_to(gr * 0.5 / r, xd.shape) / xd.shape[-1] * xd
+        del gy, gr
+        yield sq
+        yield sq
         prod = (go * (xd / r)).reshape(-1, gd.shape[0])
-        return _fold_spans(block, lambda a, b: prod[a:b].sum(axis=0))
+        yield _fold_spans(block, lambda a, b: prod[a:b].sum(axis=0))
 
-    return _make("rms_norm", out, [(x, vjp_x), (x, vjp_x), (x, vjp_x), (g, vjp_gain)])
+    return _make("rms_norm", out, (x, x, x, g), vjp)
 
 
 def _cuts(mask, t_len: int) -> tuple:
@@ -872,30 +841,32 @@ def attention(q: Tensor, k: Tensor, v: Tensor, block: RowBlock, head_size: int, 
         part, qg, kt, vg, (_, blocks, es, total, ss, ms) = _attend(qh, kh, vh, mask, _cuts(mask, t_len), scale, fill)
         out[at] = part.reshape(count * t_len, -1)
         saved.append((qg, kt, vg, blocks, es, total, [s == m for s, m in zip(ss, ms)]))
-    grads: dict = {}
 
-    def vjp(i, g):  # part i of (v, k, q), the composite's backward order; the first call computes all
-        if not grads:
-            for (at, count, t_len), mask, rope, (qg, kt, vg, blocks, es, total, hits) in zip(
-                    block.buckets, masks, ropes, saved):
-                gb = g[at].reshape(count, t_len, nkv, -1, hs).transpose(0, 2, 3, 1, 4)
-                probs = _probs(blocks, es, total, gb.shape[:-1] + (t_len,))
-                gv = _unbroadcast(probs.swapaxes(-1, -2) @ gb, vg.shape)
-                gs = _masked_softmax_vjp(gb @ vg.swapaxes(-1, -2), blocks, es, total, hits, mask, scale)
-                gk = _unbroadcast(qg.swapaxes(-1, -2) @ gs, kt.shape).transpose(0, 1, 2, 4, 3)
-                parts = [gv, gk, gs @ kt.swapaxes(-1, -2)]
-                if rope is not None:  # rotate_pairs' VJP, into the input dtype
-                    parts[1:] = (_rotate_pairs(x.reshape(count, -1, t_len, hs), rope[0], -rope[1], dtype)
-                                 for x in parts[1:])
-                for j, x in enumerate(parts):  # back to rows through the head transpose's and reshape's VJPs
-                    x = x.reshape(count, -1, t_len, hs).transpose(0, 2, 1, 3).reshape(count * t_len, -1)
-                    if j not in grads:
-                        grads[j] = np.empty((rows, x.shape[-1]), dtype=x.dtype)
-                    grads[j][at] = x
-            saved.clear()
-        return grads.pop(i)
+    def bucket_vjp(grads, g, bucket, mask, rope):  # one bucket's rows of v's, k's and q's parts
+        at, count, t_len = bucket
+        qg, kt, vg, blocks, es, total, hits = saved.pop(0)  # the bucket's activations go once used
+        gb = g[at].reshape(count, t_len, nkv, -1, hs).transpose(0, 2, 3, 1, 4)
+        probs = _probs(blocks, es, total, gb.shape[:-1] + (t_len,))
+        gv = _unbroadcast(probs.swapaxes(-1, -2) @ gb, vg.shape)
+        gs = _masked_softmax_vjp(gb @ vg.swapaxes(-1, -2), blocks, es, total, hits, mask, scale)
+        gk = _unbroadcast(qg.swapaxes(-1, -2) @ gs, kt.shape).transpose(0, 1, 2, 4, 3)
+        parts = [gv, gk, gs @ kt.swapaxes(-1, -2)]
+        if rope is not None:  # rotate_pairs' VJP, into the input dtype
+            parts[1:] = (_rotate_pairs(x.reshape(count, -1, t_len, hs), rope[0], -rope[1], dtype) for x in parts[1:])
+        for j, x in enumerate(parts):  # back to rows through the head transpose's and reshape's VJPs
+            x = x.reshape(count, -1, t_len, hs).transpose(0, 2, 1, 3).reshape(count * t_len, -1)
+            if grads[j] is None:
+                grads[j] = np.empty((rows, x.shape[-1]), dtype=x.dtype)
+            grads[j][at] = x
 
-    return _make("attention", out, [(v, lambda g: vjp(0, g)), (k, lambda g: vjp(1, g)), (q, lambda g: vjp(2, g))])
+    def vjp(g):  # v's part, then k's, then q's: the composite's backward order
+        grads = [None] * 3
+        for bucket, mask, rope in zip(block.buckets, masks, ropes):
+            bucket_vjp(grads, g, bucket, mask, rope)
+        while grads:
+            yield grads.pop(0)
+
+    return _make("attention", out, (v, k, q), vjp)
 
 
 def _swiglu(a: np.ndarray, b: np.ndarray):
@@ -909,10 +880,15 @@ def swiglu(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_dtypes(a, b, "swiglu")
     ad, bd = a.data, b.data
-    out = _swiglu(ad, bd)
-    sig = functools.cache(lambda: _stable_sigmoid(ad))  # recomputed on the first VJP call, shared by both
-    return _make("swiglu", out, [(b, lambda go: go * (ad * sig())),
-                                 (a, lambda go: go * bd * (sig() * (1.0 + ad * (1.0 - sig()))))])
+
+    def vjp(go):  # the sigmoid, recomputed instead of kept, serves both parts
+        sig = _stable_sigmoid(ad)
+        yield go * (ad * sig)
+        ga = go * bd * (sig * (1.0 + ad * (1.0 - sig)))
+        del sig
+        yield ga
+
+    return _make("swiglu", _swiglu(ad, bd), (b, a), vjp)
 
 
 # -- composites ---------------------------------------------------------------
@@ -948,7 +924,8 @@ def target_logprobs(logits: Tensor, targets, mask=None) -> Tensor:
     The VJP replays the composite's: the logits take the first ``sub``'s part,
     then ``max_``'s, whose division by int64 tie counts makes it float64. It
     keeps the logits and the exponentials, as the composite's ``max_`` and
-    ``exp`` did, and rebuilds the one-hot.
+    ``exp`` did, takes each from ``kept`` to free it once used, and rebuilds
+    the one-hot.
     """
     logits = _as_tensor(logits)
     targets = np.asarray(targets, dtype=np.int64)
@@ -963,24 +940,29 @@ def target_logprobs(logits: Tensor, targets, mask=None) -> Tensor:
     onehot = np.zeros(shape, dtype=dtype)
     onehot[rows, cols] = 1.0
     np.multiply(np.subtract(out, np.log(total), out=out), onehot, out=out)
-    kept = [xd, e] if logits.requires_grad else []  # popped: e by the first part, the logits by the second
+    kept = [xd, e]
 
-    def vjp_sub(g):  # the first sub's part, through the second sub, log, sum and exp
+    def vjp(g):
+        x, e = kept
+        kept.clear()
+        # the first sub's part, through the second sub, log, sum and exp
         g_ls = np.zeros(shape, dtype=np.result_type(g.dtype, dtype))  # the one-hot, exact in either dtype
         g_ls[rows, cols] = 1.0
         np.multiply(g, g_ls, out=g_ls)
         g_e = np.broadcast_to(_unbroadcast(-g_ls, total.shape) / total, shape).copy()
-        g_x = np.add(g_ls, np.multiply(g_e, kept.pop(), out=g_e), out=g_e)
-        kept.append(_unbroadcast(-g_x, total.shape))
-        return g_x
-
-    def vjp_max(g):  # g_m * hit is exact in any float dtype; dividing by the int64 tie counts makes float64
-        g_m, x = kept.pop(), kept.pop()
+        g_x = np.add(g_ls, np.multiply(g_e, e, out=g_e), out=g_e)
+        del g_ls, e
+        g_m = _unbroadcast(-g_x, total.shape)
+        yield g_x
+        # max_'s part: g_m * hit is exact in any float dtype; dividing by the int64 tie counts makes float64
         hit = x == m
+        del x
+        ties = hit.sum(axis=-1, keepdims=True)
         g_x = np.multiply(np.broadcast_to(g_m, shape), hit, dtype=np.float64)
-        return np.divide(g_x, hit.sum(axis=-1, keepdims=True), out=g_x)
+        del hit
+        yield np.divide(g_x, ties, out=g_x)
 
-    return _make("target_logprobs", out, [(logits, vjp_sub), (logits, vjp_max)])
+    return _make("target_logprobs", out, (logits, logits), vjp)
 
 
 # -- finite-difference oracle --------------------------------------------------

@@ -90,22 +90,17 @@ def _preference_loss(batch: PreferenceBatch, lam: float) -> Tensor:
     e = np.exp(-np.where(pos, x, -x))
     one_e = e + dtype.type(1.0)
     soft = np.where(pos, x, zero) + np.log(one_e)
-    parts: dict = {}
 
-    def vjp(key, g):
-        if not parts:  # the first call computes every part
-            g_soft = np.broadcast_to(g, soft.shape) / soft.size
-            g_abs = -(g_soft / one_e * e)
-            g_x = np.where(pos, g_soft, zero) + np.where(pos, g_abs, zero) + -np.where(pos, zero, g_abs)
-            g_margin = g_x * neg_beta
-            if lam != 0.0:
-                parts["hinge"] = -np.where(hinge, -g_margin * lam_d, zero)
-            parts["rejected"], parts["chosen"] = -g_margin, g_margin
-        return parts.pop(key)
+    def vjp(g):
+        g_soft = np.broadcast_to(g, soft.shape) / soft.size
+        g_abs = -(g_soft / one_e * e)
+        g_x = np.where(pos, g_soft, zero) + np.where(pos, g_abs, zero) + -np.where(pos, zero, g_abs)
+        g_margin = g_x * neg_beta
+        hinge_part = [-np.where(hinge, -g_margin * lam_d, zero)] if lam != 0.0 else []
+        return hinge_part + [-g_margin, g_margin]
 
-    entries = [(pc, "hinge")] if lam != 0.0 else []
-    entries += [(pr, "rejected"), (pc, "chosen")]
-    return T._make("preference_loss", soft.mean(), [(t, lambda g, key=key: vjp(key, g)) for t, key in entries])
+    inputs = [pc, pr, pc] if lam != 0.0 else [pr, pc]
+    return T._make("preference_loss", soft.mean(), inputs, vjp)
 
 
 def dpo_loss(batch: PreferenceBatch) -> Tensor:
@@ -199,7 +194,8 @@ def grpo_objective(group: GrpoGroup) -> Tensor:
     ``kl_k3``, ``concat`` and ``mean`` it replaces computed them, and the VJP
     replays that composite's: each log-prob tensor, last response first, takes
     the KL chain's part, then the surrogate's, where rho takes the unclipped
-    product's part before the clip's.
+    product's part before the clip's. It yields each response's two parts as
+    it computes them.
     """
     adv = grpo_advantages(group.rewards, group.variant)
     g = len(group.logp_policy)
@@ -227,26 +223,22 @@ def grpo_objective(group: GrpoGroup) -> Tensor:
     else:
         budget = np.asarray(float(g * group.max_tokens), dtype=dtype)
         agg_s, agg_k = stacked_s.sum() / budget, stacked_k.sum() / budget
-    parts: dict = {}
 
     def spread(total, n):  # mean's or sum's VJP
         return np.broadcast_to(total, (n,)) / n if per_response else np.broadcast_to(total, (n,)).copy()
 
-    def vjp(key, g_loss):
-        if not parts:  # the first call computes every part
-            g_s, g_k = -g_loss, g_loss * kl_coef
-            if not per_response:
-                g_s, g_k = g_s / budget, g_k / budget
-            g_s, g_k = spread(g_s, g), spread(g_k, g)
-            for i, (rho, e, a, below, above, unclipped) in enumerate(saved):
-                n = len(rho)
-                g_kl, g_surr = spread(g_k[i], n), spread(g_s[i], n)
-                parts["kl", i] = -(-g_kl + g_kl * e)
-                g_clipped = np.where(unclipped, zero, g_surr) * a
-                g_rho = np.where(unclipped, g_surr, zero) * a + np.where(above, zero, np.where(below, zero, g_clipped))
-                parts["surr", i] = g_rho * rho
-            saved.clear()
-        return parts.pop(key)
+    def vjp(g_loss):
+        g_s, g_k = -g_loss, g_loss * kl_coef
+        if not per_response:
+            g_s, g_k = g_s / budget, g_k / budget
+        g_s, g_k = spread(g_s, g), spread(g_k, g)
+        for i in reversed(range(g)):
+            rho, e, a, below, above, unclipped = saved[i]
+            g_kl, g_surr = spread(g_k[i], len(rho)), spread(g_s[i], len(rho))
+            yield -(-g_kl + g_kl * e)
+            g_clipped = np.where(unclipped, zero, g_surr) * a
+            g_rho = np.where(unclipped, g_surr, zero) * a + np.where(above, zero, np.where(below, zero, g_clipped))
+            yield g_rho * rho
 
-    entries = [(lp, (part, i)) for i, lp in reversed(list(enumerate(group.logp_policy))) for part in ("kl", "surr")]
-    return T._make("grpo_objective", -agg_s + agg_k * kl_coef, [(t, lambda g, key=key: vjp(key, g)) for t, key in entries])
+    inputs = [lp for lp in reversed(group.logp_policy) for _ in range(2)]
+    return T._make("grpo_objective", -agg_s + agg_k * kl_coef, inputs, vjp)

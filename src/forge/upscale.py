@@ -69,6 +69,19 @@ def depth_upscale(ckpt: Checkpoint, spec: UpscaleSpec) -> Checkpoint:
     return out
 
 
+def merge_weights(weights, n: int) -> np.ndarray:
+    """``weights`` for a merge of ``n`` checkpoints as float64: ValueError
+    unless there are n of them, none negative and not all zero."""
+    weights = np.asarray(weights, dtype=np.float64)
+    if len(weights) != n:
+        raise ValueError(f"{n} checkpoints but {len(weights)} weights")
+    if np.any(weights < 0):
+        raise ValueError("merge weights must be non-negative")
+    if weights.sum() == 0:
+        raise ValueError("merge weights are all zero")
+    return weights
+
+
 def merge_checkpoints(ckpts: list[Checkpoint], weights) -> Checkpoint:
     """Per-parameter weighted mean: sum(w_i * p_i) / sum(w_i).
 
@@ -78,14 +91,8 @@ def merge_checkpoints(ckpts: list[Checkpoint], weights) -> Checkpoint:
     """
     if len(ckpts) < 2:
         raise ValueError(f"merge needs at least 2 checkpoints, got {len(ckpts)}")
-    weights = np.asarray(weights, dtype=np.float64)
-    if len(weights) != len(ckpts):
-        raise ValueError(f"{len(ckpts)} checkpoints but {len(weights)} weights")
-    if np.any(weights < 0):
-        raise ValueError("merge weights must be non-negative")
+    weights = merge_weights(weights, len(ckpts))
     total = weights.sum()
-    if total == 0:
-        raise ValueError("merge weights are all zero")
 
     base = ckpts[0]
     names = sorted(base.params)

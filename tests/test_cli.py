@@ -491,6 +491,20 @@ def test_exit_3_when_merge_weights_overflow(workdir, capsys):
     assert not (workdir / "avg.ckpt").exists()
 
 
+@pytest.mark.parametrize("weights, message", [
+    ([0.5, 0.5, 0.5], "2 checkpoints but 3 weights"),
+    ([1.0, -0.5], "non-negative"),
+    ([0.0, 0.0], "all zero"),
+])
+def test_exit_2_on_bad_merge_weights(workdir, capsys, weights, message):
+    p = write_json(workdir / "m.json", {"checkpoints": ["base.ckpt", "base.ckpt"], "weights": weights,
+                                        "output": "avg.ckpt"})
+    assert run("merge", p, environ={}) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("forge: config-error: weights:") and message in err and err.count("\n") == 1, err
+    assert not (workdir / "avg.ckpt").exists()
+
+
 @pytest.mark.parametrize("magic", [b"forge-checkpoint ", b"forge-checkpoint x", b"forge-checkpoint 1 1"])
 def test_exit_3_on_malformed_checkpoint_header(workdir, capsys, magic):
     ckpt = workdir / "base.ckpt"
@@ -499,6 +513,21 @@ def test_exit_3_on_malformed_checkpoint_header(workdir, capsys, magic):
     assert run("upscale", p, environ={}) == 3
     err = capsys.readouterr().err
     assert err.startswith("forge: data-error: checkpoint") and "base.ckpt" in err and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("field, value", [("rope_theta", 0.0), ("rmsnorm_eps", -1.0), ("extended_ctx", 0)])
+def test_exit_3_on_checkpoint_config_that_breaks_forward(workdir, capsys, field, value):
+    # such a header merged with exit 0 and evaluated to non-finite logits
+    ckpt = workdir / "base.ckpt"
+    magic, config, rest = ckpt.read_bytes().split(b"\n", 2)
+    header = json.loads(config[len(b"config "):])
+    header[field] = value
+    ckpt.write_bytes(magic + b"\nconfig " + json.dumps(header).encode() + b"\n" + rest)
+    p = write_json(workdir / "m.json", {"checkpoints": ["base.ckpt", "base.ckpt"], "output": "avg.ckpt"})
+    assert run("merge", p, environ={}) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("forge: data-error: checkpoint") and f"{ckpt}" in err and field in err, err
+    assert err.count("\n") == 1 and not (workdir / "avg.ckpt").exists(), err
 
 
 def test_sft_artifacts_and_manifest(workdir):

@@ -124,6 +124,16 @@ def test_prefix_must_start_the_context():
         loglikelihood_choice(ckpt, [1], [[5], [6]], prefix)
 
 
+@pytest.mark.parametrize("cached", [5, 11])
+def test_prefix_cache_must_hold_exactly_its_tokens(cached):
+    # a shorter cache would be extended from the wrong position and score without error
+    ckpt = random_ckpt()
+    context = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8]
+    prefix = (context[:10], prefill(ckpt, context[:cached])[1])
+    with pytest.raises(ValueError, match=f"prefix cache holds {cached} positions for 10 tokens"):
+        loglikelihood_choice(ckpt, context, [[5], [6, 7]], prefix)
+
+
 @pytest.mark.parametrize("head", [[1.7, 2.2], [1.0, 2.0], [True, 2]])
 def test_prefix_tokens_must_be_integers(head):
     # a cast would truncate these to [1, 2] and score them as that prefix

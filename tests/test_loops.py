@@ -168,6 +168,48 @@ def _taped_objective(name, ckpt):
                                     logp_ref=[t.data + 0.1 for t in lp], rewards=np.array([1.0, 0.0])))
 
 
+def _ragged_grpo_objective(ckpt):
+    """A GRPO group as ``train_grpo`` builds it, of rollouts of three lengths behind one prompt."""
+    rng = named_rng(0, "ragged-group")
+    prompt = rng.integers(0, TOK.vocab_size, 6).tolist()
+    rollouts = [prompt + rng.integers(0, TOK.vocab_size, n).tolist() for n in (3, 5, 3, 2)]
+    lp = token_logprobs(ckpt, rollouts, len(prompt))
+    return grpo_objective(GrpoGroup(logp_policy=lp, logp_old=[t.data - 0.3 for t in lp],
+                                    logp_ref=[t.data + 0.1 for t in lp], rewards=np.array([1.0, 0.0, 0.5, 1.0])))
+
+
+@pytest.mark.parametrize("name", ["sft", "dpop", "ragged_grpo"])
+def test_backward_runs_each_vjp_once(name):
+    """Every recorded node's VJP runs exactly once per backward, and wrapping
+    each in a call counter leaves every parameter gradient's bytes as they were."""
+    ckpt = fresh_ckpt()
+
+    def grads(count):
+        with T.Graph() as g:
+            loss = _ragged_grpo_objective(ckpt) if name == "ragged_grpo" else _taped_objective(name, ckpt)
+        calls = {}
+
+        def counted(nid, vjp):
+            def run(grad_out):
+                calls[nid] = calls.get(nid, 0) + 1
+                return vjp(grad_out)
+            return run
+
+        if count:
+            for nid, node in enumerate(g.nodes):
+                if node.vjp is not None:
+                    node.vjp = counted(nid, node.vjp)
+        recorded = {nid for nid, node in enumerate(g.nodes) if node.op != "leaf"}
+        g.backward(loss)
+        return [g.grad(p) for p in ckpt.params.values()], calls, recorded
+
+    want, _, _ = grads(count=False)
+    got, calls, recorded = grads(count=True)
+    assert set(calls) == recorded and set(calls.values()) == {1}
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("name", ["sft", "dpop", "grpo"])
 def test_taped_pass_leaves_no_reference_cycle(name):
     """A micro-batch's tape is freed by reference counting when it goes out

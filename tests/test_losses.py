@@ -448,6 +448,25 @@ def test_preference_node_matches_composite(dtype, pairs, data):
         assert_same_bits(got, taped(lambda: reference.preference_loss(batch, want_lam), [chosen, rejected], weight))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dpop_with_a_constant_rejected_score_keeps_the_chosen_gradient(dtype):
+    """The rejected log-probs need no gradient: they get none, and the chosen
+    ones, which take the hinge's part and the margin's, keep the bytes of the
+    run in which both need one."""
+    ref_c, ref_r = np.array([-3.0, -2.5, -4.0], dtype=dtype), np.array([-3.5, -2.0, -1.5], dtype=dtype)
+    policy_c, policy_r = ref_c + np.array([-0.5, 0.25, -0.125], dtype=dtype), ref_r - dtype(0.75)
+
+    def run(rejected_grad):
+        chosen, rejected = Tensor(policy_c, requires_grad=True), Tensor(policy_r, requires_grad=rejected_grad)
+        batch = PreferenceBatch(policy_chosen=chosen, policy_rejected=rejected, ref_chosen=ref_c,
+                                ref_rejected=ref_r, beta=0.3, lam_dpop=5.0)
+        return taped(lambda: dpop_loss(batch), [chosen, rejected], dtype(-0.75))
+
+    got, want = run(False), run(True)
+    assert got[2] is None and want[2] is not None
+    assert_same_bits(got[:2], want[:2])
+
+
 @settings(max_examples=150, deadline=None)
 @given(dtype=DTYPES, lengths=st.lists(st.integers(1, 4), min_size=2, max_size=4), data=st.data())
 def test_grpo_node_matches_composite(dtype, lengths, data):

@@ -377,6 +377,19 @@ def test_heads_divisibility_enforced():
         toy_config(n_heads=3, n_kv_heads=2)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("rope_theta", 0.0), ("rope_theta", -10.0), ("rope_theta", float("nan")), ("rope_theta", float("inf")),
+    ("rmsnorm_eps", -1.0), ("rmsnorm_eps", float("nan")), ("rmsnorm_eps", float("inf")),
+    ("extended_ctx", 0), ("extended_ctx", -32768),
+])
+def test_config_rejects_values_that_break_forward(field, value):
+    # each of these loaded silently; rope_theta 0, -10 or NaN and rmsnorm_eps -1 make the logits non-finite
+    with pytest.raises(ValueError, match=field):
+        toy_config(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        ModelConfig.from_dict({**toy_config().to_dict(), field: value})
+
+
 # -- forward ---------------------------------------------------------------------
 
 

@@ -188,7 +188,7 @@ def test_double_backward_rejected():
 
 
 def test_backward_releases_the_tape():
-    """Backward drops every node's VJPs and every intermediate gradient that no
+    """Backward drops every node's VJP and every intermediate gradient that no
     live Tensor names; leaf gradients and held intermediates stay, exact."""
     xd = np.array([0.1, -1.3, 2.7], dtype=np.float32)
     x = Tensor(xd, requires_grad=True)
@@ -199,7 +199,7 @@ def test_backward_releases_the_tape():
         dropped_id = dropped.node_id
         del dropped
     g.backward(loss)
-    assert all(node.vjps == () for node in g.nodes)
+    assert all(node.vjp is None for node in g.nodes)
     assert dropped_id not in g.grads
     # loss = sum(3 x^2 + x): dloss/dy = 3; dloss/dx = 1 + 3x + 3x, added in tape order
     for got, want in ((g.grad(y), np.full(3, 3.0, dtype=np.float32)),
@@ -705,6 +705,31 @@ def test_layer_primitive_matches_composite(name, dtype, head):
     assert got[1].dtype == (np.float64 if head == "log_softmax" else dtype)
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", LAYER_CASES)
+def test_layer_primitive_with_a_constant_input_keeps_the_other_gradients(name, dtype):
+    """Each input in turn needs no gradient (attention's v, rms_norm's gain and
+    swiglu's b among them): it gets none, and every other input's gradient
+    keeps the bytes of the run in which all of them need one."""
+    op, _, arrays, _ = layer_cases(np.random.default_rng(23), dtype)[name]
+    w = np.random.default_rng(24).standard_normal(op(*[Tensor(a) for a in arrays]).shape).astype(dtype)
+
+    def run(constant):
+        xs = [Tensor(a.copy(), requires_grad=i != constant) for i, a in enumerate(arrays)]
+        with Graph() as g:
+            loss = (op(*xs) * w).sum()
+        g.backward(loss)
+        return [g.grad(x) for x in xs]
+
+    want = run(None)
+    for constant in range(len(arrays)):
+        got = run(constant)
+        assert got[constant] is None
+        for i, (a, b) in enumerate(zip(got, want)):
+            if i != constant:
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("composite", ["softmax", "log_softmax"])
