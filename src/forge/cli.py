@@ -470,9 +470,9 @@ def cmd_upscale(ctx: RunContext) -> None:
 
 
 def cmd_merge(ctx: RunContext) -> None:
-    paths = ctx.cfg["checkpoints"]
+    paths, weights = ctx.cfg["checkpoints"], ctx.cfg["weights"]
     try:
-        weights = merge_weights(ctx.cfg["weights"] or [1.0] * len(paths), len(paths))
+        weights = merge_weights([1.0] * len(paths) if weights is None else weights, len(paths))
     except ValueError as e:
         raise ConfigError(f"weights: {e}") from None
     ckpts = [_load_ckpt(ctx.inp(p)) for p in paths]

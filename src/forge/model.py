@@ -1,5 +1,6 @@
-"""Decoder-only transformer: RMSNorm, SwiGLU, RoPE, grouped-query attention
-(one ``tensor.attention`` node per layer over every bucket, whose forward is
+"""Decoder-only transformer: RMSNorm, SwiGLU (one ``tensor.swiglu_ffn`` node
+per layer, which keeps no gated rows), RoPE, grouped-query attention (one
+``tensor.attention`` node per layer over every bucket, whose forward is
 ``decode``'s kernel ``_attend``), pre-norm residuals. In a row packed with
 several samples, attention's softmax and the elementwise work of its VJP run
 on each sample's diagonal block of the (T, T) scores only, and the tape keeps
@@ -173,9 +174,9 @@ def validate_checkpoint(ckpt: Checkpoint) -> None:
 def swiglu_ffn(x: Tensor, w_gate: Tensor, w_up: Tensor, w_down: Tensor,
                block: T.RowBlock | None = None) -> Tensor:
     """(silu(x W_gate) * (x W_up)) W_down over the rows of ``block`` (by
-    default one sequence)."""
-    gate = T.block_matmul(x, w_gate, block)
-    return T.block_matmul(T.swiglu(gate, T.block_matmul(x, w_up, block)), w_down, block)
+    default one sequence), as one ``tensor.swiglu_ffn`` node that keeps x and
+    the gate and up rows and recomputes the gated rows in its VJP."""
+    return T.swiglu_ffn(x, w_gate, w_up, w_down, block)
 
 
 @dataclass

@@ -21,11 +21,12 @@ and so are those through ``target_logprobs``, whose VJP replays that division.
 Layer ops are single nodes over numpy kernels that ``forge.decode`` calls
 too; attention, for one, is ``attention`` over ``_attend``, whose softmax
 works on the diagonal blocks that a packed row's mask leaves (one block for
-a causal sequence and for ``decode``). The loss head
+a causal sequence and for ``decode``), and the whole SwiGLU FFN is
+``swiglu_ffn`` over ``_swiglu``, which keeps no gated rows. The loss head
 ``target_logprobs`` is one node as well. Every other op is one the pipeline
-records or a test reference uses; ``silu`` and ``swiglu`` share the sigmoid
-kernel ``_stable_sigmoid``. ``where`` and ``concat`` are test references
-only, since the loss heads that recorded them became single nodes.
+records or a test reference uses; ``silu`` and ``swiglu_ffn`` share the
+sigmoid kernel ``_stable_sigmoid``. ``where``, ``concat`` and ``silu`` are
+test references only, since the ops that recorded them became single nodes.
 """
 
 from __future__ import annotations
@@ -118,7 +119,8 @@ class Graph:
     def backward(self, seed: "Tensor") -> dict[int, np.ndarray]:
         """Reverse-accumulate gradients from a scalar seed node, releasing the
         tape as it goes: every node's VJP is dropped as it runs, and so is
-        each gradient but a leaf's or one a live Tensor still names.
+        each gradient but a leaf's or one a live Tensor still names, and
+        each part once added (``_make``).
 
         Returns the gradient store. Raises if the seed is non-scalar, not
         on this graph, or if backward already ran.
@@ -138,11 +140,15 @@ class Graph:
             g = grads.get(nid) if node.out is None or node.out() is not None else grads.pop(nid, None)
             if g is None or vjp is None:  # unreached, or a leaf
                 continue
-            for input_id, contrib in zip(node.input_ids, vjp(g)):
-                if input_id < 0:
-                    continue
-                acc = grads.get(input_id)
-                grads[input_id] = contrib if acc is None else acc + contrib
+            parts = iter(vjp(g))
+            vjp = g = None  # a yielding VJP holds the gradient now, and may drop it
+            for input_id in node.input_ids:
+                contrib = next(parts)
+                if input_id >= 0:
+                    acc = grads.get(input_id)
+                    grads[input_id] = contrib if acc is None else acc + contrib
+                acc = contrib = None  # no part outlives its add
+            parts = None  # nor the VJP its last part, with that yield's locals
         return grads
 
     def grad(self, t: "Tensor") -> np.ndarray | None:
@@ -314,7 +320,10 @@ def _make(op: str, out_data: np.ndarray, inputs, vjp) -> Tensor:
 
     A VJP that yields keeps its frame alive while backward adds each part it
     yielded, so it drops every array before a ``yield`` once no later part
-    needs it.
+    needs it. Backward holds no part after adding it, and no VJP after its
+    last part: once the VJP is called, backward drops its own reference to the
+    upstream gradient (a yielding VJP may then drop it too), and it releases
+    the VJP, with the locals of its last ``yield``, before the next node runs.
     """
     out = Tensor(out_data)
     graph = _current_graph()
@@ -639,12 +648,14 @@ def block_matmul(x: Tensor, w: Tensor, block: RowBlock | None = None) -> Tensor:
         raise ShapeError(f"block_matmul: shapes {x.shape} and {w.shape} do not conform")
     block = block or RowBlock([x.shape[0]])
     xd, wd = x.data, w.data
+    return _make("block_matmul", _per_bucket(block, xd, lambda xb: xb @ wd), (x, w),
+                 lambda g: _block_matmul_parts(block, xd, wd, g))
 
-    def vjp(g):
-        yield _per_bucket(block, g, lambda gb: gb @ wd.swapaxes(-1, -2))
-        yield _fold_spans(block, lambda a, b: xd[a:b].swapaxes(-1, -2) @ g[a:b])
 
-    return _make("block_matmul", _per_bucket(block, xd, lambda xb: xb @ wd), (x, w), vjp)
+def _block_matmul_parts(block: RowBlock, xd: np.ndarray, wd: np.ndarray, g: np.ndarray):
+    """``block_matmul``'s VJP: x's part, then w's."""
+    yield _per_bucket(block, g, lambda gb: gb @ wd.swapaxes(-1, -2))
+    yield _fold_spans(block, lambda a, b: xd[a:b].swapaxes(-1, -2) @ g[a:b])
 
 
 def embedding(weight: Tensor, ids, block: RowBlock | None = None) -> Tensor:
@@ -848,6 +859,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, block: RowBlock, head_size: int, 
         gb = g[at].reshape(count, t_len, nkv, -1, hs).transpose(0, 2, 3, 1, 4)
         probs = _probs(blocks, es, total, gb.shape[:-1] + (t_len,))
         gv = _unbroadcast(probs.swapaxes(-1, -2) @ gb, vg.shape)
+        del probs
         gs = _masked_softmax_vjp(gb @ vg.swapaxes(-1, -2), blocks, es, total, hits, mask, scale)
         gk = _unbroadcast(qg.swapaxes(-1, -2) @ gs, kt.shape).transpose(0, 1, 2, 4, 3)
         parts = [gv, gk, gs @ kt.swapaxes(-1, -2)]
@@ -863,6 +875,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, block: RowBlock, head_size: int, 
         grads = [None] * 3
         for bucket, mask, rope in zip(block.buckets, masks, ropes):
             bucket_vjp(grads, g, bucket, mask, rope)
+        del g
         while grads:
             yield grads.pop(0)
 
@@ -874,21 +887,40 @@ def _swiglu(a: np.ndarray, b: np.ndarray):
     return a * _stable_sigmoid(a) * b
 
 
-def swiglu(a: Tensor, b: Tensor) -> Tensor:
-    """The SwiGLU gate, as the composite ``a.silu() * b`` for a and b of one
-    shape: b's part, then a's."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_dtypes(a, b, "swiglu")
-    ad, bd = a.data, b.data
+def swiglu_ffn(x: Tensor, w_gate: Tensor, w_up: Tensor, w_down: Tensor, block: RowBlock | None = None) -> Tensor:
+    """The SwiGLU FFN ``_swiglu(x W_gate, x W_up) W_down`` as one node, each product stacked per
+    bucket of ``block`` (by default one sequence) as ``block_matmul`` runs it. It keeps x and the
+    gate and up rows: the VJP rebuilds the gated rows with ``_swiglu``'s expression from the sigmoid
+    it recomputes, and yields the composite's parts with its expressions: w_down's, then x's and
+    w_up's from the up product, then x's and w_gate's from the gate product."""
+    x, w_gate, w_up, w_down = (_as_tensor(t) for t in (x, w_gate, w_up, w_down))
+    for w in (w_gate, w_up, w_down):
+        _check_dtypes(x, w, "swiglu_ffn")
+    if not (x.ndim == w_gate.ndim == w_up.ndim == w_down.ndim == 2
+            and w_gate.shape == w_up.shape == (x.shape[1], w_down.shape[0])):
+        raise ShapeError(f"swiglu_ffn: shapes {x.shape}, {w_gate.shape}, {w_up.shape}, {w_down.shape} do not conform")
+    block = block or RowBlock([x.shape[0]])
+    xd, wg, wu, wd = x.data, w_gate.data, w_up.data, w_down.data
+    ad = _per_bucket(block, xd, lambda xb: xb @ wg)
+    bd = _per_bucket(block, xd, lambda xb: xb @ wu)
 
-    def vjp(go):  # the sigmoid, recomputed instead of kept, serves both parts
+    def vjp(g):
         sig = _stable_sigmoid(ad)
-        yield go * (ad * sig)
-        ga = go * bd * (sig * (1.0 + ad * (1.0 - sig)))
-        del sig
-        yield ga
+        silu_a = ad * sig
+        gh, gw = _block_matmul_parts(block, silu_a * bd, wd, g)
+        del g
+        yield gw
+        del gw
+        gb = gh * silu_a  # the product's part for b, then for silu(a), through silu's VJP
+        del silu_a
+        ga = gh * bd * (sig * (1.0 + ad * (1.0 - sig)))
+        del gh, sig
+        yield from _block_matmul_parts(block, xd, wu, gb)
+        del gb
+        yield from _block_matmul_parts(block, xd, wg, ga)
 
-    return _make("swiglu", _swiglu(ad, bd), (b, a), vjp)
+    return _make("swiglu_ffn", _per_bucket(block, _swiglu(ad, bd), lambda hb: hb @ wd), (w_down, x, w_up, x, w_gate),
+                 vjp)
 
 
 # -- composites ---------------------------------------------------------------
@@ -949,6 +981,7 @@ def target_logprobs(logits: Tensor, targets, mask=None) -> Tensor:
         g_ls = np.zeros(shape, dtype=np.result_type(g.dtype, dtype))  # the one-hot, exact in either dtype
         g_ls[rows, cols] = 1.0
         np.multiply(g, g_ls, out=g_ls)
+        del g
         g_e = np.broadcast_to(_unbroadcast(-g_ls, total.shape) / total, shape).copy()
         g_x = np.add(g_ls, np.multiply(g_e, e, out=g_e), out=g_e)
         del g_ls, e

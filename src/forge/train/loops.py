@@ -146,8 +146,9 @@ def _run_steps(ckpt: Checkpoint, settings: TrainSettings, items, per_step: int, 
                 loss_sum += val
                 for k, v in extras.items():
                     extra_sums[k] = extra_sums.get(k, 0.0) + v
-            for name in grads:
-                grads[name] /= per_step
+            if per_step > 1:  # x / 1 is x: one unit's sums are already its mean
+                for name in grads:
+                    grads[name] /= per_step
             try:
                 grads, norm = clip_grad_norm(grads, settings.max_grad_norm)
             except ValueError as e:  # non-finite gradient

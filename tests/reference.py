@@ -1,8 +1,9 @@
-"""Composite loss heads that the single-node ops in ``forge`` replace, kept as
-test references. Each body is the composite as it was written before it
-became one tape node, over the primitives it recorded (``log_softmax``,
-``where``, ``concat``, ``exp``, ``mean``, ...), so a property can require the
-node to give the same value and gradients bit for bit.
+"""Composite loss heads and the composite FFN that single-node ops in
+``forge`` replace, kept as test references. Each body is the composite as it
+was written before it became one tape node, over the primitives it recorded
+(``log_softmax``, ``where``, ``concat``, ``exp``, ``mean``, ``block_matmul``,
+``silu``, ...), so a property can require the node to give the same value and
+gradients bit for bit.
 """
 
 from __future__ import annotations
@@ -22,6 +23,13 @@ def target_logprobs(logits: Tensor, targets, mask=None) -> Tensor:
     onehot = np.zeros(logits.shape, dtype=logits.data.dtype)
     onehot[rows, targets[rows]] = 1.0
     return T.log_softmax(logits, axis=-1) * onehot
+
+
+def swiglu_ffn(x: Tensor, w_gate: Tensor, w_up: Tensor, w_down: Tensor, block: T.RowBlock | None = None) -> Tensor:
+    """``model.swiglu_ffn`` as five nodes: the gate and up ``block_matmul``, ``silu(a) * b``, the down
+    ``block_matmul``."""
+    a = T.block_matmul(x, w_gate, block)
+    return T.block_matmul(a.silu() * T.block_matmul(x, w_up, block), w_down, block)
 
 
 def _softplus(x: Tensor) -> Tensor:

@@ -495,6 +495,7 @@ def test_exit_3_when_merge_weights_overflow(workdir, capsys):
     ([0.5, 0.5, 0.5], "2 checkpoints but 3 weights"),
     ([1.0, -0.5], "non-negative"),
     ([0.0, 0.0], "all zero"),
+    ([], "2 checkpoints but 0 weights"),  # an empty list is no list of equal weights
 ])
 def test_exit_2_on_bad_merge_weights(workdir, capsys, weights, message):
     p = write_json(workdir / "m.json", {"checkpoints": ["base.ckpt", "base.ckpt"], "weights": weights,

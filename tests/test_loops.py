@@ -247,7 +247,7 @@ def test_loss_heads_are_one_tape_node_each():
                                  logp_ref=[t.data + 0.1 for t in lp], rewards=np.array([1.0, 0.0, 0.0, 1.0])))
     ops = [n.op for n in g.nodes]
     assert ops[head:] == ["grpo_objective"] and ops.count("target_logprobs") == 1
-    assert set(ops) == {"leaf", "embedding", "rms_norm", "block_matmul", "attention", "swiglu", "add",
+    assert set(ops) == {"leaf", "embedding", "rms_norm", "block_matmul", "attention", "swiglu_ffn", "add",
                         "slice", "sum", "target_logprobs", "grpo_objective"}
 
     tokens = np.array([3, 1, 4, 1, 5, 9, 2, 6], dtype=np.int64)

@@ -172,8 +172,8 @@ def test_rope_records_one_node_per_tensor():
 
 
 def test_toy_layer_tape_nodes():
-    """Each layer adds at most 22 nodes to forward's tape, its 9 weights
-    included; each RMSNorm, attention and SwiGLU gate is one node, with no
+    """Each layer adds at most 19 nodes to forward's tape, its 9 weights
+    included; each RMSNorm, attention and SwiGLU FFN is one node, with no
     head reshape, transpose or rotation of its own."""
     def ops(n_layers):
         cfg = toy_config(n_layers=n_layers, d_model=32, n_heads=4, n_kv_heads=2, head_size=8, d_ff=64)
@@ -183,11 +183,11 @@ def test_toy_layer_tape_nodes():
 
     one, two = ops(1), ops(2)
     assert two.count("leaf") - one.count("leaf") == 9
-    for op, count in (("rms_norm", 2), ("attention", 1), ("swiglu", 1)):
+    for op, count in (("rms_norm", 2), ("attention", 1), ("swiglu_ffn", 1), ("block_matmul", 4)):
         assert two.count(op) - one.count(op) == count
-    for op in ("masked_softmax", "rotate_pairs", "transpose", "reshape"):
+    for op in ("masked_softmax", "rotate_pairs", "transpose", "reshape", "swiglu"):
         assert op not in two
-    assert len(two) - len(one) <= 22
+    assert len(two) - len(one) <= 19
 
 
 def test_ragged_group_tape_has_one_attention_node_per_layer():
@@ -243,9 +243,15 @@ def test_packed_row_tape_keeps_only_its_samples_blocks():
 
 
 def test_swiglu_tape_keeps_its_inputs_only():
-    a, b = (Tensor(np.full((256, 1024), x, dtype=np.float32), requires_grad=True) for x in (0.5, 2.0))
-    out_bytes = a.data.nbytes
-    assert tape_bytes(lambda: T.swiglu(a, b)) <= out_bytes + 64 * 1024  # the output, no sigmoid of a
+    """The FFN node keeps x and the SwiGLU gate's inputs, the gate and up rows
+    (1 MiB each at 256 rows of 1024), but not the gated rows, which its VJP
+    rebuilds: they would be a third MiB, more than the slack."""
+    x = Tensor(np.full((256, 64), 0.5, dtype=np.float32), requires_grad=True)
+    wg, wu = (Tensor(np.full((64, 1024), v, dtype=np.float32), requires_grad=True) for v in (0.01, 0.02))
+    wd = Tensor(np.full((1024, 64), 0.01, dtype=np.float32), requires_grad=True)
+    rows = 256 * 1024 * 4
+    kept = tape_bytes(lambda: swiglu_ffn(x, wg, wu, wd))
+    assert 2 * rows <= kept <= 2 * rows + x.data.nbytes + 64 * 1024  # gate and up rows, the output, slack
 
 
 def test_rope_table_tensor_mismatch():

@@ -5,8 +5,11 @@ differences at float64; tape misuse (double backward, non-scalar seed,
 cross-graph mixing) must raise.
 """
 
+import weakref
+
 import numpy as np
 import pytest
+import reference
 from hypothesis import given, settings, strategies as st
 
 from forge import tensor as T
@@ -205,6 +208,42 @@ def test_backward_releases_the_tape():
     for got, want in ((g.grad(y), np.full(3, 3.0, dtype=np.float32)),
                       (g.grad(x), np.ones(3, dtype=np.float32) + 3 * xd + 3 * xd)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_backward_holds_no_part_once_added_nor_a_yielding_vjp_after_its_last_part():
+    """A node lists y twice and yields y's two parts, dropping its upstream
+    gradient after the first. From then on backward holds that gradient no
+    more; and while y's producer runs its VJP, neither part is alive (y's
+    gradient is their sum, a new array), nor is the local that the second
+    part's yield kept."""
+    x = Tensor(np.array([0.5, -2.0, 3.0]), requires_grad=True)
+    refs, alive = {}, {}
+
+    def yielder(g):
+        first = g * 2.0
+        refs["upstream"], refs["first part"] = weakref.ref(g), weakref.ref(first)
+        scale = g * 3.0
+        del g
+        yield first
+        alive["upstream, once dropped"] = refs["upstream"]() is not None
+        del first
+        refs["last yield's local"] = weakref.ref(scale)
+        last = scale + 1.0
+        refs["last part"] = weakref.ref(last)
+        yield last
+
+    def producer(g):
+        alive.update((name, ref() is not None) for name, ref in refs.items())
+        return (g,)
+
+    with Graph() as graph:
+        y = T._make("producer", x.data.copy(), (x,), producer)
+        loss = T._make("yielder", y.data.copy(), (y, y), yielder).sum()
+        del y
+    graph.backward(loss)
+    assert alive == dict.fromkeys(["upstream, once dropped", "upstream", "first part", "last yield's local",
+                                   "last part"], False)
+    np.testing.assert_array_equal(graph.grad(x), np.full(3, 2.0) + (np.full(3, 3.0) + 1.0))
 
 
 def test_cross_graph_mixing_rejected():
@@ -546,10 +585,6 @@ def masked_softmax_reference(scores, mask, scale, fill):
     return s.softmax(axis=-1)
 
 
-def swiglu_reference(a, b):
-    return a.silu() * b
-
-
 def attention_reference(q, k, v, count, hs, mask, rope, scale, fill):
     """The composite that model.gqa_attention recorded per bucket before the
     primitive (17 tape nodes): head reshapes and transposes, ``rotate_pairs``,
@@ -580,7 +615,8 @@ def layer_cases(rng, dtype):
     attention cases take two sequences of 5 rows, 4 query heads over 2 KV
     heads of 4 channels; the first sequence's rotation is by quarter turns,
     so its integer heads keep integer (often tied) scores, the second's by
-    arbitrary angles."""
+    arbitrary angles. The swiglu case is the FFN node ``swiglu_ffn`` over one
+    sequence of 4 rows, x also feeding a residual add."""
     mask = np.tril(np.ones((5, 5), dtype=bool)) & (rng.random((5, 5)) < 0.8)
     mask[0] = False
     quarter, angles = quarter_turns(rng, (5, 2), dtype), rotation_tables(rng, 5, 2, dtype)
@@ -595,7 +631,9 @@ def layer_cases(rng, dtype):
         "attention_plain": (lambda q, k, v: T.attention(q, k, v, T.RowBlock([5, 5]), 4, [None], [None], 0.35, -1e9),
                             lambda q, k, v: attention_reference(q, k, v, 2, 4, None, None, 0.35, -1e9), heads,
                             None),
-        "swiglu": (T.swiglu, swiglu_reference, [rng.standard_normal((4, 6)).astype(dtype) for _ in "ab"], None),
+        "swiglu": (T.swiglu_ffn, reference.swiglu_ffn,
+                   [rng.standard_normal(shape).astype(dtype) for shape in ((4, 6), (6, 5), (6, 5), (5, 6))],
+                   lambda y, x: x + y),
     }
 
 
@@ -683,6 +721,61 @@ def test_attention_on_packed_masks_keeps_the_composites_bytes(case):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+@st.composite
+def swiglu_ffn_cases(draw):
+    """A dtype; the rows' layout: one sequence (no block), a group of equal lengths, a ragged
+    group whose length-2 and length-4 rows are not contiguous, or drawn lengths; the widths; the
+    inputs' scale, up to where the sigmoid saturates; then a seed."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    lengths = draw(st.sampled_from([None, (3, 3, 3), (2, 4, 2, 3, 4)]) | st.lists(st.integers(1, 5), min_size=1,
+                                                                                   max_size=5).map(tuple))
+    return (dtype, lengths, draw(st.integers(1, 6)), draw(st.integers(1, 9)), draw(st.sampled_from([0.1, 1.0, 30.0])),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(swiglu_ffn_cases())
+def test_swiglu_ffn_keeps_the_composites_bytes(case):
+    """Output and the gradients of x, w_gate, w_up and w_down equal those of the composite in
+    ``reference.py`` byte for byte, the sign of a zero included, with every input needing a
+    gradient and with each one constant in turn (it then gets none). Zeroed rows of the upstream
+    gradient give signed zeros."""
+    dtype, lengths, d, d_ff, scale, seed = case
+    rng = np.random.default_rng(seed)
+    rows = 5 if lengths is None else sum(lengths)
+    block = None if lengths is None else T.RowBlock(lengths)
+    arrays = [(rng.standard_normal(shape) * s).astype(dtype)
+              for shape, s in (((rows, d), scale), ((d, d_ff), 1.0), ((d, d_ff), 1.0), ((d_ff, d), 1.0))]
+    w = (rng.standard_normal((rows, d)) * (rng.random((rows, 1)) < 0.7)).astype(dtype)
+
+    def run(fn, constant):
+        xs = [Tensor(a.copy(), requires_grad=i != constant) for i, a in enumerate(arrays)]
+        with Graph() as g:
+            y = fn(*xs, block)
+            loss = (y * w).sum()
+        g.backward(loss)
+        return y.data, [g.grad(x) for x in xs]
+
+    for constant in (None, 0, 1, 2, 3):
+        (got, got_grads), (want, want_grads) = run(T.swiglu_ffn, constant), run(reference.swiglu_ffn, constant)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        for i, (a, b) in enumerate(zip(got_grads, want_grads)):
+            if i == constant:
+                assert a is None and b is None
+            else:
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_swiglu_ffn_rejects_shapes_that_do_not_conform():
+    x, w = Tensor(np.ones((3, 4))), Tensor(np.ones((4, 5)))
+    for args in ((x, w, w, Tensor(np.ones((4, 4)))), (x, w, Tensor(np.ones((4, 6))), Tensor(np.ones((5, 4)))),
+                 (Tensor(np.ones(4)), w, w, Tensor(np.ones((5, 4))))):
+        with pytest.raises(ShapeError, match="swiglu_ffn"):
+            T.swiglu_ffn(*args)
+    with pytest.raises(ShapeError, match="mixed dtypes"):
+        T.swiglu_ffn(x, w, Tensor(np.ones((4, 5), dtype=np.float32)), Tensor(np.ones((5, 4))))
+
+
 # a log_softmax head sends back float64 gradients for float32 inputs, since
 # max_'s VJP divides by an int64 tie count; a linear head keeps float32
 @pytest.mark.parametrize("dtype,head", [(np.float32, "log_softmax"), (np.float32, "linear"),
@@ -711,7 +804,7 @@ def test_layer_primitive_matches_composite(name, dtype, head):
 @pytest.mark.parametrize("name", LAYER_CASES)
 def test_layer_primitive_with_a_constant_input_keeps_the_other_gradients(name, dtype):
     """Each input in turn needs no gradient (attention's v, rms_norm's gain and
-    swiglu's b among them): it gets none, and every other input's gradient
+    swiglu_ffn's x, listed twice, among them): it gets none, and every other input's gradient
     keeps the bytes of the run in which all of them need one."""
     op, _, arrays, _ = layer_cases(np.random.default_rng(23), dtype)[name]
     w = np.random.default_rng(24).standard_normal(op(*[Tensor(a) for a in arrays]).shape).astype(dtype)

@@ -17,6 +17,12 @@ Tape nodes: the nodes a ``Graph`` records, by op, for
 Together these cover the three loss heads: ``target_logprobs``,
 ``grpo_objective`` and the DPO/DPOP loss.
 
+Tape bytes: the KiB that a one-layer desk-shape ``forward`` (the model of
+``memory_phases.py`` cut to one layer, over its packed 256-token row of 4
+samples) keeps under a ``Graph``, the logits included, and what a second
+layer adds: tracemalloc's current bytes after the pass minus before, as
+``tests/test_model.py::tape_bytes`` counts them, after one untimed pass.
+
 It reads no clock and draws only from named streams, so the same tree
 prints the same text.
 
@@ -27,10 +33,13 @@ Not part of the test suite.
 
 from __future__ import annotations
 
+import dataclasses
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
+from memory_phases import DESK, desk_row
 
 from forge.model import ModelConfig, forward, init_params
 from forge.rng import named_rng
@@ -63,6 +72,25 @@ def print_ops(title: str, ops: Counter) -> None:
 def forward_ops(n_layers: int) -> Counter:
     ckpt = init_params(toy_config(n_layers), named_rng(0, "code-measures/forward"))
     return tape_ops(lambda: forward(ckpt, np.arange(10)))
+
+
+def desk_tape_kib(n_layers: int) -> int:
+    ckpt = init_params(dataclasses.replace(DESK, n_layers=n_layers), named_rng(0, "code-measures/desk"))
+    row = desk_row(named_rng(0, "code-measures/desk-row"))
+
+    def run():
+        with Graph() as g:
+            logits = forward(ckpt, row.token_ids, row.segment_ids, row.positions)
+        return g, logits
+
+    run()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g, logits = run()  # kept alive while counted
+        return (tracemalloc.get_traced_memory()[0] - before) // 1024
+    finally:
+        tracemalloc.stop()
 
 
 def grpo_group_ops() -> Counter:
@@ -112,6 +140,10 @@ def main() -> None:
     print_ops("a second layer adds", forward_ops(2) - one)
     print_ops("toy GRPO group (policy pass + grpo_objective)", grpo_group_ops())
     print_ops("toy DPO pair (policy pass + dpop_loss)", dpo_pair_ops())
+    print()
+    one_kib = desk_tape_kib(1)
+    print(f"one-layer desk-shape forward tape: {one_kib} KiB")
+    print(f"a second layer adds: {desk_tape_kib(2) - one_kib} KiB")
 
 
 if __name__ == "__main__":
