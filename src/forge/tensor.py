@@ -919,8 +919,8 @@ def swiglu_ffn(x: Tensor, w_gate: Tensor, w_up: Tensor, w_down: Tensor, block: R
         del gb
         yield from _block_matmul_parts(block, xd, wg, ga)
 
-    return _make("swiglu_ffn", _per_bucket(block, _swiglu(ad, bd), lambda hb: hb @ wd), (w_down, x, w_up, x, w_gate),
-                 vjp)
+    out = _per_bucket(block, _swiglu(ad, bd), lambda hb: hb @ wd)
+    return _make("swiglu_ffn", out, (w_down, x, w_up, x, w_gate), vjp)
 
 
 # -- composites ---------------------------------------------------------------
