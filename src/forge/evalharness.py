@@ -11,9 +11,9 @@ normalization); baselines default to 1/num_choices for choice tasks and
 0 for generative ones since published normalization constants vary.
 
 Choice scoring reuses cached prefixes (``forge.decode``): a task prefills
-its exemplar block once, each item extends a copy of that cache by its own
-context, and each bucket of equal-length choices is one batched
-``extend``. The scores agree with teacher forcing each choice through
+its exemplar block once, each item extends that cache by its own context,
+and each bucket of equal-length choices is one batched ``extend`` behind
+the context's one cache row. The scores agree with teacher forcing each choice through
 ``forward`` (``sequence_logprobs``, the tests' reference) to float
 rounding, not bitwise.
 """

@@ -21,7 +21,8 @@ and so are those through ``target_logprobs``, whose VJP replays that division.
 Layer ops are single nodes over numpy kernels that ``forge.decode`` calls
 too; attention, for one, is ``attention`` over ``_attend``, whose softmax
 works on the diagonal blocks that a packed row's mask leaves (one block for
-a causal sequence and for ``decode``), and the whole SwiGLU FFN is
+a causal sequence, and for ``decode``, which runs it tape-free in one
+buffer), and the whole SwiGLU FFN is
 ``swiglu_ffn`` over ``_swiglu``, which keeps no gated rows. The loss head
 ``target_logprobs`` is one node as well. Every other op is one the pipeline
 records or a test reference uses; ``silu`` and ``swiglu_ffn`` share the
@@ -760,7 +761,7 @@ def _probs(blocks, es, total, shape) -> np.ndarray:
     return _scatter(blocks, [e / total[rows] for (_, rows), e in zip(blocks, es)], shape)
 
 
-def _masked_softmax(scores: np.ndarray, mask, cuts, scale: float, fill: float):
+def _masked_softmax(scores: np.ndarray, mask, cuts, scale: float, fill: float, taped: bool = True):
     """Softmax of scores * scale over the last axis, entries outside the bool ``mask`` (None keeps
     all) set to ``fill``, worked out on the diagonal blocks between ``cuts`` (``_cuts``; none is one
     block spanning every row and key). Returns the probabilities (zero outside the blocks), the
@@ -771,8 +772,21 @@ def _masked_softmax(scores: np.ndarray, mask, cuts, scale: float, fill: float):
     each row sum runs over a zero-filled full row, with numpy's pairwise sums seeing the same
     operands at the same positions. A block row whose max is not finite, or not far enough above
     ``fill`` for exp(fill - max) to be 0, would not give those zeros, so then the whole softmax runs
-    as one block."""
+    as one block.
+
+    Tape-free (``taped=False``, for ``decode``) the caller gives up ``scores``, and the softmax runs
+    in that buffer as one block, whatever the cuts: it scales, fills the masked entries, subtracts
+    the row max, exponentiates and divides by the row sum in place, the same operations on the same
+    operands, and returns the probabilities alone, holding no second (..., t, s) array."""
     dtype = scores.dtype.type
+    if not taped:
+        s = np.multiply(scores, dtype(scale), out=scores)
+        if mask is not None:
+            np.copyto(s, dtype(fill), where=~mask)  # np.where's values
+        s -= s.max(axis=-1, keepdims=True)
+        np.exp(s, out=s)
+        s /= s.sum(axis=-1, keepdims=True)
+        return s
     blocks, ss, ms = _blocks(cuts), [], []
     for at, _ in blocks:
         s = scores[at] * dtype(scale)
@@ -808,19 +822,23 @@ def _masked_softmax_vjp(ga: np.ndarray, blocks, es, total, hits, mask, scale: fl
     return _scatter(blocks, [g * dtype(scale) for g in gs], ga.shape)
 
 
-def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask, cuts, scale: float, fill: float):
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask, cuts, scale: float, fill: float,
+            taped: bool = True):
     """Rows (B, t, nh·hs) of rotated query heads q (B, nh, t, hs) attending through ``_masked_softmax``
     (on the blocks between ``cuts``) over keys and values (B, nkv, s, hs), each KV head serving nh/nkv
     query heads; then the grouped q, transposed k and grouped v that the two products read, and
-    ``_masked_softmax``'s arrays. Both products run over every row and key, whatever the blocks."""
+    ``_masked_softmax``'s arrays. Both products run over every row and key, whatever the blocks.
+    Tape-free (``taped=False``) it returns the rows alone, from ``_masked_softmax``'s tape-free mode
+    on the ``q @ kᵀ`` product: the same bits, in one (B, nh, t, s) buffer."""
     b, nh, t_len, hs = q.shape
     nkv, s_len = k.shape[1], k.shape[2]
     q = q.reshape(b, nkv, nh // nkv, t_len, hs)
     kt = k.reshape(b, nkv, 1, s_len, hs).transpose(0, 1, 2, 4, 3)
     v = v.reshape(b, nkv, 1, s_len, hs)
-    soft = _masked_softmax(q @ kt, mask, cuts, scale, fill)
-    out = soft[0] @ v  # (b, nkv, group, t, hs)
-    return out.transpose(0, 3, 1, 2, 4).reshape(b, t_len, nh * hs), q, kt, v, soft
+    soft = _masked_softmax(q @ kt, mask, cuts, scale, fill, taped)
+    out = (soft[0] if taped else soft) @ v  # (b, nkv, group, t, hs)
+    out = out.transpose(0, 3, 1, 2, 4).reshape(b, t_len, nh * hs)
+    return (out, q, kt, v, soft) if taped else out
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, block: RowBlock, head_size: int, masks, ropes, scale: float,
@@ -883,8 +901,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, block: RowBlock, head_size: int, 
 
 
 def _swiglu(a: np.ndarray, b: np.ndarray):
-    """silu(a) * b."""
-    return a * _stable_sigmoid(a) * b
+    """silu(a) * b, as (a * sigmoid(a)) * b in one new buffer."""
+    out = a * _stable_sigmoid(a)
+    out *= b
+    return out
 
 
 def swiglu_ffn(x: Tensor, w_gate: Tensor, w_up: Tensor, w_down: Tensor, block: RowBlock | None = None) -> Tensor:

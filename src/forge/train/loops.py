@@ -368,11 +368,12 @@ def sample_response(
             logits = logits.astype(np.float64) / temperature
             if suppress:
                 logits[:, suppress] = -np.inf
-            p = np.exp(logits - logits.max(axis=-1, keepdims=True))
+            top = logits.max(axis=-1, keepdims=True)
+            if not np.isfinite(top).all():  # as Generator.choice; max propagates NaN
+                raise ValueError("sampling probabilities are not finite")
+            p = np.exp(logits - top)
             p /= p.sum(axis=-1, keepdims=True)
             cdf = np.cumsum(p, axis=-1)
-            if not np.isfinite(cdf[:, -1]).all():  # as Generator.choice; a NaN CDF would pick id 0
-                raise ValueError("sampling probabilities are not finite")
             cdf /= cdf[:, -1:]
             return (cdf <= uniforms[live, n][:, None]).sum(axis=-1)
 

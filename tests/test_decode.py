@@ -8,6 +8,7 @@ greedy generation draw the same tokens as a loop that re-runs ``forward``
 over the whole prefix for every token."""
 
 import pickle
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +122,67 @@ def test_batched_extend_rows_are_bit_identical_to_single_extends(shape, dtype):
             for got, ref in zip(batch.keys + batch.values, single.keys + single.values):
                 assert np.array_equal(got[m], ref[0])
     assert cache.length == 11
+
+
+ONE_ROW_CKPTS = {}
+
+
+@settings(max_examples=40, deadline=None)
+@given(dtype=st.sampled_from([np.float32, np.float64]), rows=st.integers(1, 4), t_len=st.integers(1, 3),
+       plen=st.sampled_from([1, 2, 7, 16]), seed=st.integers(0, 2**32 - 1))
+def test_extend_on_a_one_row_cache_matches_extend_on_its_copies(dtype, rows, t_len, plen, seed):
+    # B rows of tokens behind one cached row broadcast it in the append; the
+    # logits and every cache array are those of B copies of the row, and the
+    # prefill's own cache, and a bucket_logits pass over it, leave it as it was
+    if dtype not in ONE_ROW_CKPTS:
+        ONE_ROW_CKPTS[dtype] = make_ckpt("gqa", dtype)
+    ckpt = ONE_ROW_CKPTS[dtype]
+    rng = np.random.default_rng(seed)
+    _, cache = decode.prefill(ckpt, rng.integers(0, ckpt.config.vocab_size, plen))
+    before = [a.tobytes() for a in cache.keys + cache.values]
+    feeds = rng.integers(0, ckpt.config.vocab_size, (rows, t_len))
+    copies = cache.take([0] * rows)
+    want = decode.extend(ckpt, feeds, copies)
+    shared = decode.KVCache(keys=list(cache.keys), values=list(cache.values))
+    got = decode.extend(ckpt, feeds, shared)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert shared.length == copies.length == plen + t_len
+    for a, b in zip(shared.keys + shared.values, copies.keys + copies.values):
+        assert a.shape == b.shape and a.shape[0] == rows and a.tobytes() == b.tobytes()
+    ((bucket, scored),) = decode.bucket_logits(ckpt, list(feeds), cache)
+    assert bucket == list(range(rows)) and scored.tobytes() == want.tobytes()
+    assert cache.length == plen and all(a.shape[0] == 1 for a in cache.keys + cache.values)
+    assert [a.tobytes() for a in cache.keys + cache.values] == before
+
+
+def test_extend_rejects_a_cache_of_another_row_count():
+    ckpt = make_ckpt()
+    _, cache = decode.prefill(ckpt, [1, 2, 3])
+    with pytest.raises(ValueError, match="2 rows for 3 rows"):
+        decode.extend(ckpt, [[4], [5], [6]], cache.take([0, 0]))
+    assert cache.length == 3
+
+
+def test_tape_free_prefill_holds_one_copy():
+    # A desk-shape prefill of 200 tokens peaks, by tracemalloc, at most 3 MiB
+    # above the logits and cache it returns: one (heads, t, t) score buffer
+    # and the FFN's rows x d_ff arrays. Score arrays copied per softmax step,
+    # as a taped softmax keeps them, read 4.07 MiB.
+    ckpt = make_ckpt("desk")
+    tokens = named_rng(0, "one-copy").integers(0, ckpt.config.vocab_size, 200)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        logits, cache = decode.prefill(ckpt, tokens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if started:
+            tracemalloc.stop()
+    returned = logits.nbytes + sum(a.nbytes for a in cache.keys + cache.values)
+    assert peak - base - returned <= 3.0 * 2**20
 
 
 def test_extend_rejects_bad_tokens():
@@ -373,6 +435,7 @@ def test_choice_is_one_inverse_cdf_draw(bit_generator):
         assert same_state(rng_a.bit_generator.state, rng_b.bit_generator.state)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_logits_raise_value_error(bad):
     ckpt = make_ckpt()

@@ -722,6 +722,59 @@ def test_attention_on_packed_masks_keeps_the_composites_bytes(case):
 
 
 @st.composite
+def tape_free_attend_cases(draw):
+    """A dtype; a mask kind: none, the causal triangle, a cached block's ``np.tri(t, L + t, L)``
+    behind L cached keys, or packed samples (per row of the batch, perhaps with a fully masked
+    row); the batch, t (often 1) and L; integer heads (tied scores) or real ones; the dtype's fill
+    or one near or above the scores; then a seed."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    kind = draw(st.sampled_from(["none", "causal", "cached", "packed"]))
+    t_len = draw(st.sampled_from([1, 1, 2, 5, 13]))
+    cached = draw(st.integers(0, 9)) if kind in ("none", "cached") else 0
+    fill = draw(st.sampled_from([-1e9 if dtype == np.float32 else -1e30, -2.0, 0.0, 100.0]))
+    return (dtype, kind, draw(st.integers(1, 3)), t_len, cached, draw(st.booleans()), fill,
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tape_free_attend_cases())
+def test_tape_free_attend_keeps_the_taped_rows_bytes(case):
+    """``_attend``'s tape-free rows, one in-place softmax over the whole (t, s) block whatever the
+    cuts, equal the taped rows (on the blocks between the mask's cuts) byte for byte, with 4
+    query heads over 2 KV heads."""
+    dtype, kind, count, t_len, cached, integer, fill, seed = case
+    rng = np.random.default_rng(seed)
+    s_len = cached + t_len
+    mask = {"none": None, "causal": np.tri(t_len, dtype=bool), "cached": np.tri(t_len, s_len, cached, dtype=bool)}
+    if kind == "packed":
+        segments = np.sort(rng.integers(0, 3, (count, t_len)), axis=-1)
+        mask = (segments[:, :, None] == segments[:, None, :]) & np.tri(t_len, dtype=bool)
+        if rng.random() < 0.3:
+            mask[rng.integers(count), rng.integers(t_len)] = False
+        mask = mask[:, None, None]
+    else:
+        mask = mask[kind]
+    q, k, v = ((rng.integers(-2, 3, shape) if integer else rng.standard_normal(shape)).astype(dtype)
+               for shape in ((count, 4, t_len, 8), (count, 2, s_len, 8), (count, 2, s_len, 8)))
+    cuts = T._cuts(mask, t_len) if kind in ("causal", "packed") else ()
+    want = T._attend(q, k, v, mask, cuts, 0.35, fill)[0]
+    for free_cuts in {(), cuts}:
+        got = T._attend(q, k, v, mask, free_cuts, 0.35, fill, taped=False)
+        assert isinstance(got, np.ndarray) and got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_swiglu_kernel_keeps_the_expressions_bytes(dtype):
+    rng = np.random.default_rng(27)
+    a, b = ((rng.standard_normal((9, 33)) * 30).astype(dtype) for _ in range(2))
+    a[0, :4] = [0.0, -0.0, 1e4, -1e4]
+    for x, y in ((a, b), (a.T, b.T), (a[:, ::3], b[:, ::3])):
+        got = T._swiglu(x, y)
+        assert got.dtype == dtype and got.tobytes() == (x * T._stable_sigmoid(x) * y).tobytes()
+
+
+@st.composite
 def swiglu_ffn_cases(draw):
     """A dtype; the rows' layout: one sequence (no block), a group of equal lengths, a ragged
     group whose length-2 and length-4 rows are not contiguous, or drawn lengths; the widths; the

@@ -1,16 +1,26 @@
-"""Print where SFT training memory goes, phase by phase.
+"""Print where SFT training and eval memory go, phase by phase.
 
-Trains a desk-shape model (d_model 256, 4 layers, vocabulary 2048) on one
-packed 256-token row for 2 steps through ``train_sft``, the training loop the
-CLI runs. After each phase of each step it prints the tracemalloc current
-and peak MiB (the peak since the previous phase), the minor page faults
-that ``resource.getrusage`` counts in that phase, and the process's peak
+The eval section runs the eval stage's ``run_suite`` at the eval benchmark's
+desk shape (d_model 256, 4 layers, vocabulary 2048) on items drawn from
+named streams: a 5-shot, 4-way choice task (30-token contexts, 2-token
+choices, 8 scored items) behind its prefilled exemplar block, then one
+greedy item (a 200-token context, 32 new tokens). Its phases end where the
+checkpoint load, the exemplar prefill, each choice item
+(``loglikelihood_choice``), the greedy prefill and the greedy decode return.
+
+The SFT section trains a desk-shape model on one packed 256-token row for 2
+steps through ``train_sft``, the training loop the CLI runs. Its phases end
+where these calls return: the forward (``sft_batch_loss``), the backward
+(``Graph.backward``), the gradient sums with clipping (``clip_grad_norm``)
+and the AdamW update (``adamw_step``).
+
+After each phase it prints the tracemalloc current and peak MiB (the peak
+since the previous phase), the minor page faults that
+``resource.getrusage`` counts in that phase, and the process's peak
 resident set so far (``ru_maxrss`` in MB, as perfbench's ``peak_rss_mb``).
-The phases end where these calls return: the forward (``sft_batch_loss``),
-the backward (``Graph.backward``), the gradient sums with clipping
-(``clip_grad_norm``) and the AdamW update (``adamw_step``).
+Each section runs in a process of its own, so each peak RSS is its own.
 
-    PYTHONPATH=src python tools/memory_phases.py
+    PYTHONPATH=src python tools/memory_phases.py [eval|sft]
 
 Not part of the test suite. tracemalloc sees numpy's buffers and Python's
 objects, not the allocator's free pages, so the fault counts show what
@@ -22,11 +32,17 @@ two variants the other way.
 from __future__ import annotations
 
 import resource
+import subprocess
+import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
+from forge import evalharness
 from forge import tensor as T
+from forge.checkpoint import load_checkpoint, save_checkpoint
 from forge.datapipe.packing import PackedBatch
 from forge.model import ModelConfig, init_params
 from forge.rng import named_rng
@@ -39,6 +55,7 @@ DESK = ModelConfig(
     native_ctx=512, extended_ctx=2048, rmsnorm_eps=1e-6,
 )
 ROW, SEGMENTS, STEPS = 256, 4, 2
+SHOTS, CHOICES, SCORED, CONTEXT, CHOICE, GEN_CONTEXT, MAX_NEW = 5, 4, 8, 30, 2, 200, 32
 MIB = 1024.0 * 1024.0
 
 
@@ -53,18 +70,33 @@ def desk_row(rng) -> PackedBatch:
     )
 
 
+def eval_tasks() -> list:
+    """The choice task and the greedy task, their tokens from named streams."""
+    rng = named_rng(802, "memory_phases/eval-items")
+
+    def tokens(n):
+        return rng.integers(0, DESK.vocab_size, n).tolist()
+
+    choice = [{"context": tokens(CONTEXT), "choices": [tokens(CHOICE) for _ in range(CHOICES)],
+               "gold": int(rng.integers(0, CHOICES))} for _ in range(SHOTS + SCORED)]
+    return [evalharness.Task("choice", tuple(choice), "loglikelihood", "accuracy", SHOTS, 1.0 / CHOICES),
+            evalharness.Task("continue", ({"context": tokens(GEN_CONTEXT), "gold": tokens(12)},), "generate",
+                             "levenshtein", max_new=MAX_NEW)]
+
+
 class PhaseLog:
     """Prints one line per phase end and restarts the peak and fault counts."""
 
-    def __init__(self):
-        self.step = 0
+    def __init__(self, step=0):
+        self.step = step  # None: phases are not steps
         self.faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
     def mark(self, phase: str) -> None:
         current, peak = tracemalloc.get_traced_memory()
         usage = resource.getrusage(resource.RUSAGE_SELF)
         faults = usage.ru_minflt
-        print(f"step {self.step}  {phase:<9}  current {current / MIB:7.1f} MiB  "
+        where = f"{phase:<16}" if self.step is None else f"step {self.step}  {phase:<9}"
+        print(f"{where}  current {current / MIB:7.1f} MiB  "
               f"peak {peak / MIB:7.1f} MiB  minor faults {faults - self.faults:6d}  "
               f"peak RSS {usage.ru_maxrss / 1024.0:6.1f} MB")
         tracemalloc.reset_peak()
@@ -73,16 +105,37 @@ class PhaseLog:
             self.step += 1
 
 
-def after(fn, log: PhaseLog, phase: str):
+def after(fn, log: PhaseLog, *phases: str):
+    """fn, marking the end of its n-th call as the n-th of ``phases`` (the last repeats)."""
+    names = iter(phases)
+
     def wrapped(*args, **kwargs):
         out = fn(*args, **kwargs)
-        log.mark(phase)
+        log.mark(next(names, phases[-1]))
         return out
 
     return wrapped
 
 
-def main() -> None:
+def eval_phases() -> None:
+    loops.keep_freed_pages()  # as the eval command sets it
+    tracemalloc.start()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt"
+        save_checkpoint(init_params(DESK, named_rng(802, "memory_phases/eval-init"), dtype=np.float32), path)
+        log = PhaseLog(step=None)
+        tracemalloc.reset_peak()
+        ckpt = load_checkpoint(path)
+    log.mark("checkpoint")
+    tasks = eval_tasks()
+    evalharness.prefill = after(evalharness.prefill, log, "exemplar prefill", "greedy prefill")
+    evalharness.loglikelihood_choice = after(evalharness.loglikelihood_choice, log,
+                                             *(f"choice item {k}" for k in range(1, SCORED + 1)))
+    evalharness.decode = after(evalharness.decode, log, "greedy decode")
+    evalharness.run_suite(ckpt, tasks, step=0)
+
+
+def sft_phases() -> None:
     tracemalloc.start()
     ckpt = init_params(DESK, named_rng(801, "memory_phases/init"), dtype=np.float32)
     batch = desk_row(named_rng(801, "memory_phases/row"))
@@ -96,6 +149,16 @@ def main() -> None:
     loops.adamw_step = after(loops.adamw_step, log, "adamw")
     spec = ScheduleSpec(peak_lr=3e-3, min_lr=3e-3, warmup_steps=0, total_steps=STEPS, shape="constant")
     loops.train_sft(ckpt, [batch], loops.TrainSettings(spec=spec, steps=STEPS))
+
+
+def main() -> None:
+    sections = {"eval": eval_phases, "sft": sft_phases}
+    if len(sys.argv) > 1:
+        sections[sys.argv[1]]()
+        return
+    for name in sections:  # each in a process of its own
+        print(f"-- {name}", flush=True)
+        subprocess.run([sys.executable, __file__, name], check=True)
 
 
 if __name__ == "__main__":
